@@ -25,11 +25,14 @@ the same substrate:
   project-wide call graph, composable per-function summaries, and the
   cross-function rules behind ``--interprocedural``;
 * :mod:`repro.analysis.absint` / :mod:`repro.analysis.domains` /
-  :mod:`repro.analysis.kernelclass` — the opt-in abstract interpreter
-  (``--analyzers absint``): proof-grade SAN-OOB / SAN-BARRIER-DIV
-  verdicts over interval + affine domains and the serializable
+  :mod:`repro.analysis.kernelclass` — the abstract interpreter: the
+  proof-grade SAN-OOB / SAN-BARRIER-DIV verdicts the ``kernel`` family
+  reports, over interval + affine domains, and the serializable
   :class:`KernelClass` vectorizability contract the JIT roadmap
-  consumes (``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT``).
+  consumes (``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT``, the opt-in
+  ``--analyzers absint`` family);
+* :mod:`repro.analysis.rules` — the one rule registry every family
+  emits from, and the catalog the SARIF exporter publishes.
 
 Rule-by-rule documentation lives in ``docs/analysis.md``.
 """
@@ -79,10 +82,10 @@ from repro.analysis.kernelclass import (
     render_classes_json,
 )
 
-#: lazily-imported names (PEP 562) — the abstract interpreter and its
-#: domains import :mod:`repro.sanitize.astlint`, which itself imports
-#: the framework's CFG, so an eager import here would cycle whenever
-#: ``repro.sanitize`` is imported first
+#: lazily-imported names (PEP 562) — the abstract interpreter imports
+#: :mod:`repro.sanitize.astlint`, which itself imports the framework's
+#: CFG, so an eager import here would cycle whenever ``repro.sanitize``
+#: is imported first
 _LAZY = {
     "AbsintResult": "repro.analysis.absint",
     "LaunchEnv": "repro.analysis.absint",

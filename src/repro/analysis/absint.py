@@ -1,8 +1,8 @@
 """Worklist abstract interpreter over ``@cuda.jit`` kernel bodies.
 
-Where :mod:`repro.sanitize.astlint` pattern-matches, this pass
-*computes*: every kernel body is run to a fixpoint over its per-scope
-CFG (:func:`repro.analysis.cfg.build_cfg`) with the domains of
+Where a linter pattern-matches, this pass *computes*: every kernel
+body is run to a fixpoint over its per-scope CFG
+(:func:`repro.analysis.cfg.build_cfg`) with the domains of
 :mod:`repro.analysis.domains` — an interval per value, a symbolic
 affine form ``a·tid + b·bid + c`` where one exists, and the set of
 affine branch constraints that hold on the current path.  Widening at
@@ -32,9 +32,11 @@ Three results ride the fixpoint:
   reduction / tiled-matmul / divergent-fallback decision and the
   ``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT`` notes.
 
-When the driver runs both ``kernel`` and ``absint``, the interpreter's
-verdicts *own* SAN-OOB and SAN-BARRIER-DIV for the kernels it analyzed
-— the syntactic heuristics stay as the fallback when absint is off.
+The SAN-OOB and SAN-BARRIER-DIV findings are the only implementation
+of those rules: the ``kernel`` family
+(:func:`repro.sanitize.astlint.lint_context`) reports them from this
+pass, and the ``absint`` family adds the VEC-* notes.  One run per
+context serves both.
 
 Device helper calls resolve through
 :func:`repro.analysis.summaries.device_affine_summary` (a pure affine
@@ -67,9 +69,9 @@ from repro.analysis.kernelclass import (
     class_finding,
     classify,
 )
+from repro.analysis.rules import make_finding
 from repro.sanitize.astlint import _is_kernel_def, _KernelLinter
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
 
 _THREAD_VARYING = (T_THREAD, T_GLOBAL)
 
@@ -1085,44 +1087,38 @@ class AbsintResult:
 
     report: Report = field(default_factory=Report)
     classes: list = field(default_factory=list)
-    #: kernel names whose SAN-OOB / SAN-BARRIER-DIV findings absint
-    #: owns (the syntactic heuristic is suppressed for these)
-    analyzed: frozenset = frozenset()
-
-
-#: heuristic rules absint supersedes for the kernels it analyzed
-OWNED_RULES = ("SAN-BARRIER-DIV", "SAN-OOB")
 
 
 def absint_context(ctx) -> AbsintResult:
     """Run the abstract interpreter over every kernel in one shared
     :class:`~repro.analysis.context.AnalysisContext` (cached there —
-    the driver and the classifier share one run)."""
+    the ``kernel`` and ``absint`` families and the classifier share one
+    run)."""
     cached = getattr(ctx, "_absint_result", None)
     if cached is not None:
         return cached
     result = AbsintResult()
     if ctx.tree is not None:
-        kernels = {}
+        kernels = {}        # name -> first def: launch sites bind to it
+        defs = []
         helpers = {}
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.FunctionDef):
                 if _is_kernel_def(node, ctx.cuda_names):
                     kernels.setdefault(node.name, node)
+                    defs.append(node)
                 else:
                     helpers[node.name] = node
         if kernels:
             launches = _scan_launches(ctx, kernels)
-            analyzed = set()
-            for name in sorted(kernels):
-                fn = kernels[name]
-                kc = _analyze_kernel(ctx, fn, helpers,
-                                     launches.get(name, ()),
-                                     result.report)
+            # a later def reusing a kernel's name cannot be told apart
+            # at a launch site, so it is analyzed without a launch env
+            for fn in sorted(defs, key=lambda d: (d.name, d.lineno)):
+                envs = launches.get(fn.name, ()) \
+                    if kernels[fn.name] is fn else ()
+                kc = _analyze_kernel(ctx, fn, helpers, envs, result.report)
                 if kc is not None:
                     result.classes.append(kc)
-                    analyzed.add(name)
-            result.analyzed = frozenset(analyzed)
     ctx._absint_result = result
     return result
 
@@ -1148,7 +1144,7 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
         return None
 
     facts = KernelFacts(kernel=fn.name, file=ctx.filename,
-                        line=fn.lineno + ctx.line_offset,
+                        line=fn.lineno,
                         launches=len(launch_envs))
     # barriers, with the fixpoint-precise divergence verdicts
     emitted = set()
@@ -1156,13 +1152,13 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
         facts.barriers += 1
         if divergent:
             facts.divergent_barriers += 1
-            line = stmt.lineno + ctx.line_offset
+            line = stmt.lineno
             if line not in emitted:
                 emitted.add(line)
                 report.add(make_finding(
                     "SAN-BARRIER-DIV",
                     "syncthreads() is control-dependent on a thread-"
-                    f"varying predicate (line {dline + ctx.line_offset})"
+                    f"varying predicate (line {dline})"
                     ": threads that skip the branch never reach the "
                     "barrier and the block deadlocks",
                     file=ctx.filename, line=line, context=fn.name))
@@ -1179,8 +1175,7 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
                 f"grid-derived index into `{base}` {why} on a "
                 "reachable path; the launch grid rounds up, so the "
                 "access runs past the extent",
-                file=ctx.filename, line=line + ctx.line_offset,
-                context=fn.name))
+                file=ctx.filename, line=line, context=fn.name))
     verdicts = set(interp.verdicts.values())
     if "oob" in verdicts:
         facts.oob = "oob"
@@ -1288,7 +1283,6 @@ def classify_kernel(kernel) -> KernelClass:
 __all__ = [
     "AbsintResult",
     "LaunchEnv",
-    "OWNED_RULES",
     "absint_context",
     "absint_source",
     "classify_kernel",

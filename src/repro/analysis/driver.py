@@ -4,14 +4,14 @@ Before the framework each ``--analyzers`` family re-read and re-parsed
 every file.  The driver builds one :class:`AnalysisContext` per file
 and hands the *same* context to every requested pass:
 
-* ``kernel`` — :func:`repro.sanitize.astlint.lint_context`
+* ``kernel`` — :func:`repro.sanitize.astlint.lint_context` (its
+  SAN-OOB / SAN-BARRIER-DIV are the abstract interpreter's proofs)
 * ``perf`` / ``cost`` / ``iam`` — :func:`repro.perflint.analyze_context`
 * ``mem`` — :func:`repro.memcheck.analyze_context`
 * ``det`` — :func:`repro.analysis.detpass.det_pass`
-* ``absint`` — :func:`repro.analysis.absint.absint_context` (opt-in:
-  named explicitly, never implied by ``all``; when run next to
-  ``kernel`` its proof-grade SAN-OOB / SAN-BARRIER-DIV verdicts replace
-  the heuristic's for the kernels it analyzed)
+* ``absint`` — the VEC-* kernel-classification notes from
+  :func:`repro.analysis.absint.absint_context` (opt-in: named
+  explicitly, never implied by ``all``)
 
 Driver-level post-processing applies to every family uniformly:
 ``# repro: disable=RULE`` suppressions, duplicate-finding removal, and
@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.pipeline import fingerprint_report
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Finding, Report
 
 #: every family the unified driver can dispatch, in canonical order
@@ -50,7 +51,6 @@ def analyze_context(ctx: AnalysisContext,
     """Run the requested families over one shared context."""
     report = Report()
     if ctx.tree is None:
-        from repro.sanitize.rules import make_finding
         exc = ctx.syntax_error
         report.add(make_finding(
             "SAN-SYNTAX", f"syntax error: {exc.msg}", file=ctx.filename,
@@ -72,18 +72,11 @@ def analyze_context(ctx: AnalysisContext,
         from repro.analysis.detpass import det_pass
         report.extend(det_pass(ctx).findings)
     if "absint" in analyzers:
-        from repro.analysis.absint import OWNED_RULES, absint_context
-        result = absint_context(ctx)
-        if "kernel" in analyzers and result.analyzed:
-            # the interpreter's verdicts own SAN-OOB/SAN-BARRIER-DIV
-            # for the kernels it analyzed; the syntactic heuristic
-            # stays authoritative only where absint is off
-            owned = Report()
-            owned.extend(f for f in report.findings
-                         if not (f.rule in OWNED_RULES
-                                 and f.context in result.analyzed))
-            report = owned
-        report.extend(result.report.findings)
+        # the kernel family already reports absint's SAN-* proofs; the
+        # absint family adds the VEC-* classification notes
+        from repro.analysis.absint import absint_context
+        report.extend(f for f in absint_context(ctx).report.findings
+                      if f.rule.startswith("VEC-"))
     kept = Report()
     for finding in report.findings:
         if ctx.is_suppressed(finding.rule, finding.line):

@@ -38,6 +38,7 @@ import re
 import numpy as np
 
 from repro.analysis.cfg import LOOP_PASSES
+from repro.analysis.rules import make_finding
 from repro.cloud.pricing import get_instance_type
 from repro.errors import CloudError
 from repro.gpu.specs import get_spec
@@ -47,7 +48,6 @@ from repro.memcheck.estimate import (
     right_size,
     usable_gpu_bytes,
 )
-from repro.memcheck.rules import PINNED_OVERSUB_FRACTION, make_finding
 from repro.gpu.memory import DEFAULT_HOST_RAM_BYTES, DEFAULT_RESERVE_FRACTION, format_bytes
 from repro.perflint.costpass import extract_plans
 from repro.perflint.shapes import (
@@ -58,6 +58,9 @@ from repro.perflint.shapes import (
     _namespace_aliases,
 )
 from repro.sanitize.findings import Report
+
+#: flag when cumulative pinned staging crosses this fraction of host RAM
+PINNED_OVERSUB_FRACTION = 0.5
 
 #: method names whose call result is a tracked device buffer
 _BUFFER_PRODUCERS = {"alloc"}

@@ -26,6 +26,7 @@ documentation with minimal offending kernels lives in
 ``docs/sanitizer.md``; the workflow rules live in ``docs/perflint.md``.
 """
 
+from repro.analysis.rules import RULES, Rule, make_finding
 from repro.sanitize.astlint import (
     lint_file,
     lint_kernel,
@@ -40,7 +41,6 @@ from repro.sanitize.collcheck import (
 )
 from repro.sanitize.dynamic import RaceDetector, check_launch
 from repro.sanitize.findings import Finding, Report, Severity
-from repro.sanitize.rules import RULES, Rule, make_finding
 from repro.sanitize.streamcheck import find_stream_hazards
 
 __all__ = [

@@ -3,13 +3,13 @@
 The pass reproduces, on the simulator, the checks students get from
 ``compute-sanitizer`` and code review on real hardware:
 
-* ``SAN-OOB`` — a *grid-derived* index reaches a global (parameter) array
-  with no dominating bounds guard.  Launch grids are rounded up, so the
-  last block always has threads past the end.
+* ``SAN-OOB`` — a *grid-derived* index can reach past a global
+  (parameter) array's extent.  Launch grids are rounded up, so the last
+  block always has threads past the end.
 * ``SAN-SHARED-RACE`` — a shared-memory cell is read at a different index
   than it was written, with no ``syncthreads()`` between the phases.
-* ``SAN-BARRIER-DIV`` — ``syncthreads()`` inside a branch whose condition
-  depends on the thread index: threads that skip the branch never reach
+* ``SAN-BARRIER-DIV`` — ``syncthreads()`` is control-dependent on a
+  thread-varying predicate: threads that skip the branch never reach
   the barrier and the block deadlocks.
 * ``SAN-UNCOALESCED`` — the innermost index of a global access multiplies
   a thread-varying value by a constant stride, so a warp touches
@@ -20,18 +20,14 @@ The pass reproduces, on the simulator, the checks students get from
   launches on two different streams with no event dependency or
   synchronization between them.
 
-Everything is heuristic in the way a linter is: taint is propagated
-through straight-line assignments, a name compared inside an ``if`` test
-counts as bounds-checked in the branch body (and, after an early-exit
-``if i >= n: return``, in the straight-line code that survives it), and
-loops are unrolled once for the phase analysis.  That is enough to be
-exact on the kernel shapes the course teaches (elementwise, stencil,
-tiled reduction/matmul).
-
-When the abstract interpreter (:mod:`repro.analysis.absint`) runs next
-to this pass, its proof-grade verdicts *own* SAN-OOB and
-SAN-BARRIER-DIV for the kernels it analyzed — the heuristics here are
-the fallback for everything else (see ``docs/sanitizer.md``).
+SAN-OOB and SAN-BARRIER-DIV are proofs: they come from the abstract
+interpreter (:mod:`repro.analysis.absint`), which runs each kernel to
+a fixpoint over interval + affine domains and reports only what it can
+show (see ``docs/sanitizer.md``).  The other kernel rules are
+syntactic in the way a linter is: thread-variance is propagated
+through straight-line assignments, and loops are unrolled once for the
+phase analysis.  That is enough to be exact on the kernel shapes the
+course teaches (elementwise, stencil, tiled reduction/matmul).
 """
 
 from __future__ import annotations
@@ -42,17 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.cfg import unrolled_schedule
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
-
-# -- taint lattice ----------------------------------------------------------
-
-T_NONE = 0      # uniform across the block (constants, blockDim, sizes)
-T_BLOCK = 1     # varies per block only (blockIdx)
-T_THREAD = 2    # varies within a warp (threadIdx)
-T_GLOBAL = 3    # varies across the whole grid (cuda.grid, bI*bD+tI)
-
-_THREAD_VARYING = (T_THREAD, T_GLOBAL)
 
 # device-buffer producers recognized by the stream-hazard scan
 _BUFFER_MAKERS = {"to_device", "device_array"}
@@ -71,11 +58,13 @@ class _KernelEnv:
     params: set[str] = field(default_factory=set)
     shared: set[str] = field(default_factory=set)
     local: set[str] = field(default_factory=set)
-    taint: dict[str, int] = field(default_factory=dict)
+    #: names whose value varies across the threads of a block
+    varying: set[str] = field(default_factory=set)
 
 
 class _KernelLinter:
-    """Runs all intra-kernel rules over one ``@cuda.jit`` function."""
+    """Runs the syntactic intra-kernel rules over one ``@cuda.jit``
+    function."""
 
     def __init__(self, fn: ast.FunctionDef, cuda_names: set[str],
                  filename: str) -> None:
@@ -104,35 +93,33 @@ class _KernelLinter:
             return True
         return isinstance(f, ast.Name) and f.id == "syncthreads"
 
-    # -- taint ----------------------------------------------------------
+    # -- thread variance --------------------------------------------------
 
-    def _expr_taint(self, node: ast.AST) -> int:
-        """Worst-case taint of an expression (BLOCK+THREAD => GLOBAL)."""
-        kinds: set[int] = set()
+    def _varies(self, node: ast.AST) -> bool:
+        """Can the expression differ between threads of one block
+        (``threadIdx``, ``cuda.grid``, or a name derived from them)?"""
         for n in ast.walk(node):
             if isinstance(n, ast.Attribute):
                 if self._is_cuda_attr(n.value, "threadIdx"):
-                    kinds.add(T_THREAD)
-                elif self._is_cuda_attr(n.value, "blockIdx"):
-                    kinds.add(T_BLOCK)
+                    return True
             elif isinstance(n, ast.Call) and self._is_cuda_attr(n.func, "grid"):
-                kinds.add(T_GLOBAL)
-            elif isinstance(n, ast.Name):
-                t = self.env.taint.get(n.id, T_NONE)
-                if t:
-                    kinds.add(t)
-        if not kinds:
-            return T_NONE
-        if T_GLOBAL in kinds or (T_BLOCK in kinds and T_THREAD in kinds):
-            return T_GLOBAL
-        return max(kinds)
+                return True
+            elif isinstance(n, ast.Name) and n.id in self.env.varying:
+                return True
+        return False
+
+    def _set_varying(self, name: str, varying: bool) -> None:
+        if varying:
+            self.env.varying.add(name)
+        else:
+            self.env.varying.discard(name)
 
     def _record_assign(self, target: ast.AST, value: ast.AST) -> None:
         if isinstance(target, ast.Tuple) and isinstance(value, ast.Call) \
                 and self._is_cuda_attr(value.func, "grid"):
             for elt in target.elts:
                 if isinstance(elt, ast.Name):
-                    self.env.taint[elt.id] = T_GLOBAL
+                    self.env.varying.add(elt.id)
             return
         if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) \
                 and len(target.elts) == len(value.elts):
@@ -143,13 +130,13 @@ class _KernelLinter:
             if isinstance(value, ast.Call):
                 if self._is_cuda_attr(value.func, "shared", "array"):
                     self.env.shared.add(target.id)
-                    self.env.taint[target.id] = T_NONE
+                    self.env.varying.discard(target.id)
                     return
                 if self._is_cuda_attr(value.func, "local", "array"):
                     self.env.local.add(target.id)
-                    self.env.taint[target.id] = T_NONE
+                    self.env.varying.discard(target.id)
                     return
-            self.env.taint[target.id] = self._expr_taint(value)
+            self._set_varying(target.id, self._varies(value))
 
     # -- findings -------------------------------------------------------
 
@@ -165,129 +152,65 @@ class _KernelLinter:
     # -- main walk ------------------------------------------------------
 
     def run(self) -> Report:
-        self._visit_body(self.fn.body, guards=set(), divergence=0)
+        self._visit_body(self.fn.body)
         self._phase_analysis()
         return self.report
 
-    def _guard_names(self, test: ast.AST) -> set[str]:
-        """Names a conditional test bounds-checks (any compared name that
-        carries taint counts — `if i < out.size`, `if 1 <= i < n - 1`)."""
-        names: set[str] = set()
-        for n in ast.walk(test):
-            if isinstance(n, ast.Compare):
-                for sub in ast.walk(n):
-                    if isinstance(sub, ast.Name) \
-                            and self.env.taint.get(sub.id, T_NONE):
-                        names.add(sub.id)
-        return names
-
-    def _visit_body(self, stmts, guards: set[str], divergence: int) -> None:
-        guards = set(guards)
+    def _visit_body(self, stmts) -> None:
         for stmt in stmts:
-            self._visit_stmt(stmt, guards, divergence)
-            # early-exit bound check: after `if i >= n: return`, the
-            # surviving straight-line code is guarded on `i` exactly as
-            # if it were nested under `if i < n:` — without this, the
-            # guard idiom Lab 5 teaches second is a false SAN-OOB
-            if isinstance(stmt, ast.If) and not stmt.orelse \
-                    and stmt.body and isinstance(
-                        stmt.body[-1],
-                        (ast.Return, ast.Break, ast.Continue, ast.Raise)):
-                guards |= self._guard_names(stmt.test)
+            self._visit_stmt(stmt)
 
-    def _visit_stmt(self, stmt: ast.stmt, guards: set[str],
-                    divergence: int) -> None:
+    def _visit_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
-            self._check_expr(stmt.value, guards)
+            self._check_expr(stmt.value)
             for t in stmt.targets:
-                self._check_expr(t, guards)
+                self._check_expr(t)
             for t in stmt.targets:
                 self._record_assign(t, stmt.value)
         elif isinstance(stmt, ast.AugAssign):
-            self._check_expr(stmt.value, guards)
-            self._check_expr(stmt.target, guards)
-            if isinstance(stmt.target, ast.Name):
-                self.env.taint[stmt.target.id] = max(
-                    self.env.taint.get(stmt.target.id, T_NONE),
-                    self._expr_taint(stmt.value))
+            self._check_expr(stmt.value)
+            self._check_expr(stmt.target)
+            if isinstance(stmt.target, ast.Name) \
+                    and self._varies(stmt.value):
+                self.env.varying.add(stmt.target.id)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
-                self._check_expr(stmt.value, guards)
+                self._check_expr(stmt.value)
                 self._record_assign(stmt.target, stmt.value)
-        elif isinstance(stmt, ast.If):
-            self._check_expr(stmt.test, guards)
-            branch_div = divergence + (
-                1 if self._expr_taint(stmt.test) in _THREAD_VARYING else 0)
-            self._visit_body(stmt.body,
-                             guards | self._guard_names(stmt.test),
-                             branch_div)
-            self._visit_body(stmt.orelse, guards, branch_div)
-        elif isinstance(stmt, ast.While):
-            self._check_expr(stmt.test, guards)
-            branch_div = divergence + (
-                1 if self._expr_taint(stmt.test) in _THREAD_VARYING else 0)
-            self._visit_body(stmt.body, guards, branch_div)
-            self._visit_body(stmt.orelse, guards, branch_div)
+        elif isinstance(stmt, (ast.If, ast.While)):
+            self._check_expr(stmt.test)
+            self._visit_body(stmt.body)
+            self._visit_body(stmt.orelse)
         elif isinstance(stmt, ast.For):
-            self._check_expr(stmt.iter, guards)
-            loop_guards, loop_div = self._for_header(stmt, guards, divergence)
-            self._visit_body(stmt.body, loop_guards, loop_div)
-            self._visit_body(stmt.orelse, guards, divergence)
-        elif isinstance(stmt, ast.Expr):
-            if self._is_sync_call(stmt.value):
-                if divergence > 0:
-                    self._emit(
-                        "SAN-BARRIER-DIV",
-                        "syncthreads() inside a thread-divergent branch "
-                        "deadlocks the block (threads that skip the branch "
-                        "never reach the barrier)",
-                        stmt.lineno, ("div", stmt.lineno))
-            else:
-                self._check_expr(stmt.value, guards)
-        elif isinstance(stmt, ast.Return):
+            self._check_expr(stmt.iter)
+            self._for_header(stmt)
+            self._visit_body(stmt.body)
+            self._visit_body(stmt.orelse)
+        elif isinstance(stmt, (ast.Expr, ast.Return)):
             if stmt.value is not None:
-                self._check_expr(stmt.value, guards)
+                self._check_expr(stmt.value)
         # other statement kinds carry no kernel semantics we model
 
-    def _for_header(self, stmt: ast.For, guards: set[str],
-                    divergence: int):
-        """Loop-variable taint and guarding for ``for v in range(...)``."""
-        loop_guards = set(guards)
-        loop_div = divergence
+    def _for_header(self, stmt: ast.For) -> None:
+        """The loop variable varies when a ``range`` bound (or any
+        other iterable) does."""
+        if not isinstance(stmt.target, ast.Name):
+            return
         it = stmt.iter
         if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) \
                 and it.func.id == "range" and it.args:
-            stop = it.args[1] if len(it.args) >= 2 else it.args[0]
-            arg_taint = max((self._expr_taint(a) for a in it.args),
-                            default=T_NONE)
-            if isinstance(stmt.target, ast.Name):
-                self.env.taint[stmt.target.id] = arg_taint
-                # a loop bounded by a uniform extent (arr.size, a constant,
-                # a scalar parameter) cannot run past that extent
-                if self._expr_taint(stop) not in _THREAD_VARYING:
-                    loop_guards.add(stmt.target.id)
-            if arg_taint in _THREAD_VARYING:
-                loop_div += 1
-        elif isinstance(stmt.target, ast.Name):
-            self.env.taint[stmt.target.id] = self._expr_taint(it)
-        return loop_guards, loop_div
+            varying = any(self._varies(a) for a in it.args)
+        else:
+            varying = self._varies(it)
+        self._set_varying(stmt.target.id, varying)
 
     # -- expression-level access checks ---------------------------------
 
-    def _check_expr(self, node: ast.AST, guards: set[str]) -> None:
-        if isinstance(node, ast.IfExp):
-            self._check_expr(node.test, guards)
-            self._check_expr(node.body,
-                             guards | self._guard_names(node.test))
-            self._check_expr(node.orelse, guards)
-            return
+    def _check_expr(self, node: ast.AST) -> None:
         if isinstance(node, ast.Subscript):
-            self._check_subscript(node, guards)
-            self._check_expr(node.value, guards)
-            self._check_expr(node.slice, guards)
-            return
+            self._check_subscript(node)
         for child in ast.iter_child_nodes(node):
-            self._check_expr(child, guards)
+            self._check_expr(child)
 
     def _index_elements(self, node: ast.Subscript) -> list[ast.AST]:
         sl = node.slice
@@ -295,7 +218,7 @@ class _KernelLinter:
             return list(sl.elts)
         return [sl]
 
-    def _check_subscript(self, node: ast.Subscript, guards: set[str]) -> None:
+    def _check_subscript(self, node: ast.Subscript) -> None:
         if not isinstance(node.value, ast.Name):
             return
         base = node.value.id
@@ -306,38 +229,17 @@ class _KernelLinter:
             self._check_bank_conflict(base, node, elements)
             return
         if base in self.env.params:
-            self._check_oob(base, node, elements, guards)
             self._check_coalescing(base, node, elements)
 
-    def _check_oob(self, base: str, node: ast.Subscript,
-                   elements, guards: set[str]) -> None:
-        for elem in elements:
-            if self._expr_taint(elem) != T_GLOBAL:
-                continue
-            direct_grid = any(
-                isinstance(n, ast.Call) and self._is_cuda_attr(n.func, "grid")
-                for n in ast.walk(elem))
-            tainted_names = {
-                n.id for n in ast.walk(elem) if isinstance(n, ast.Name)
-                and self.env.taint.get(n.id, T_NONE) == T_GLOBAL}
-            if direct_grid or not tainted_names <= guards:
-                self._emit(
-                    "SAN-OOB",
-                    f"grid-derived index into `{base}` has no bounds "
-                    "guard; the rounded-up launch grid will index past "
-                    "the end",
-                    node.lineno, ("oob", base, node.lineno))
-                return
-
     def _const_stride(self, elem: ast.AST) -> int | None:
-        """Return c for ``tainted * c`` / ``c * tainted`` index shapes."""
+        """Return c for ``varying * c`` / ``c * varying`` index shapes."""
         if not isinstance(elem, ast.BinOp) or not isinstance(elem.op, ast.Mult):
             return None
         left, right = elem.left, elem.right
         for var, const in ((left, right), (right, left)):
             if isinstance(const, ast.Constant) \
                     and isinstance(const.value, int) \
-                    and self._expr_taint(var) in _THREAD_VARYING:
+                    and self._varies(var):
                 return const.value
         return None
 
@@ -526,7 +428,11 @@ def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
     shared :class:`repro.analysis.context.AnalysisContext` — the parse
-    already happened; this pass only walks the tree."""
+    already happened; this pass only walks the tree.  SAN-OOB and
+    SAN-BARRIER-DIV are the abstract interpreter's proofs (cached on
+    the context, so the ``absint`` family reuses the same run)."""
+    from repro.analysis.absint import absint_context
+
     report = Report()
     filename = ctx.filename
     if ctx.tree is None:
@@ -537,15 +443,20 @@ def lint_context(ctx) -> Report:
         return report
     tree = ctx.tree
     cuda_names = ctx.cuda_names
+    has_kernels = False
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             if _is_kernel_def(node, cuda_names):
+                has_kernels = True
                 report.extend(
                     _KernelLinter(node, cuda_names, filename).run().findings)
             else:
                 report.extend(
                     _StreamScan(cuda_names, filename).scan(node.body).findings)
     report.extend(_StreamScan(cuda_names, filename).scan(tree.body).findings)
+    if has_kernels:
+        report.extend(f for f in absint_context(ctx).report.findings
+                      if f.rule.startswith("SAN-"))
     return report
 
 

@@ -32,9 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sanitize",
         description="Static analysis for the simulated GPU stack: the "
-                    "kernel sanitizer (OOB guards, shared-memory races, "
-                    "barrier divergence, coalescing, bank conflicts, "
-                    "cross-stream hazards) plus the perflint workflow "
+                    "kernel sanitizer (proof-grade OOB and barrier-"
+                    "divergence verdicts, shared-memory races, "
+                    "coalescing, bank conflicts, cross-stream hazards) "
+                    "plus the perflint workflow "
                     "analyzers (host-side perf anti-patterns, pre-flight "
                     "cloud-plan cost, IAM least privilege), the memcheck "
                     "liveness pass (device-buffer leaks, use-after-free, "
@@ -51,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--analyzers", default="kernel", metavar="LIST",
                         help="comma-separated analyzer families to run: "
                              f"{','.join(ALL_ANALYZERS)} (or 'all' for "
-                             f"{','.join(KNOWN_ANALYZERS)}; absint is "
-                             "opt-in by name; default: kernel)")
+                             f"{','.join(KNOWN_ANALYZERS)}; absint, "
+                             "opt-in by name, adds the VEC-* kernel-"
+                             "classification notes; default: kernel)")
     parser.add_argument("--interprocedural", action="store_true",
                         help="resolve the project-wide call graph and "
                              "add cross-function findings (call-chain "

@@ -1,19 +1,23 @@
 """The abstract-interpretation kernel verifier: launch-environment
 extraction, proof-grade OOB verdicts, barrier-divergence precision
 (including the affine-cancellation win over the syntactic heuristic),
-archetype classification, helper inlining, and driver ownership of the
-SAN-OOB / SAN-BARRIER-DIV rules."""
+archetype classification, helper inlining, line numbers under a
+``line_offset``, the family split (the ``kernel`` family reports the
+SAN-OOB / SAN-BARRIER-DIV proofs, ``absint`` adds only the VEC-* notes),
+and the single rule registry."""
 
+import ast
+import re
 from pathlib import Path
 
 from repro.analysis.absint import (
-    OWNED_RULES,
     absint_context,
     absint_source,
     classify_kernel,
 )
 from repro.analysis.context import AnalysisContext
 from repro.analysis.driver import analyze_source
+from repro.analysis.rules import RULES, all_rules
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -105,7 +109,6 @@ def bad(x, out):
 class TestLaunchEnv:
     def test_launch_site_binds_dims_and_extents(self):
         result = absint_source(SAXPY_GUARDED, "saxpy.py")
-        assert "saxpy" in result.analyzed
         kc = result.classes[0]
         assert kc.launches == 1
         assert kc.kernel == "saxpy"
@@ -174,11 +177,7 @@ class TestBarrierPrecision:
     def test_block_uniform_predicate_is_not_divergent(self):
         # ``i - tx`` cancels to a block-only affine form; the barrier
         # under it is uniform even though the *names* in the predicate
-        # are thread-tainted.  The syntactic heuristic flags this; the
-        # abstract interpreter must not.
-        heur = analyze_source(UNIFORM_BARRIER, "scale.py",
-                              analyzers=("kernel",))
-        assert any(f.rule == "SAN-BARRIER-DIV" for f in heur.findings)
+        # are thread-tainted — a syntactic taint walk would flag it
         result = absint_source(UNIFORM_BARRIER, "scale.py")
         assert not [f for f in result.report.findings
                     if f.rule == "SAN-BARRIER-DIV"]
@@ -320,34 +319,110 @@ class TestClassification:
         assert any("non-affine" in r for r in kc.reasons)
 
 
-class TestDriverOwnership:
-    def test_absint_supersedes_heuristic_for_analyzed_kernels(self):
-        both = analyze_source(UNIFORM_BARRIER, "scale.py",
-                              analyzers=("kernel", "absint"))
-        assert not [f for f in both.findings
-                    if f.rule == "SAN-BARRIER-DIV"]
-        assert [f for f in both.findings if f.rule == "VEC-VECTORIZABLE"]
+RACY_SHARED = """\
+import numpy as np
+from repro.jit import cuda
 
-    def test_owned_rules_reemitted_when_real(self):
-        both = analyze_source(DIVERGENT_BARRIER, "bad.py",
-                              analyzers=("kernel", "absint"))
-        assert [f for f in both.findings if f.rule == "SAN-BARRIER-DIV"]
+@cuda.jit
+def racy(v, out):
+    tile = cuda.shared.array(64, np.float32)
+    tx = cuda.threadIdx.x
+    tile[tx] = v[tx]
+    out[tx] = tile[tx + 1]
+"""
 
-    def test_non_owned_heuristics_untouched(self):
-        assert set(OWNED_RULES) == {"SAN-BARRIER-DIV", "SAN-OOB"}
+
+def _rules(source, filename, analyzers):
+    return {f.rule for f in analyze_source(
+        source, filename, analyzers=analyzers).findings}
+
+
+class TestFamilies:
+    """The ``kernel`` family reports absint's SAN-OOB / SAN-BARRIER-DIV
+    proofs on its own; ``absint`` adds only the VEC-* notes."""
+
+    def test_block_uniform_barrier_is_clean_under_kernel(self):
+        assert "SAN-BARRIER-DIV" not in _rules(
+            UNIFORM_BARRIER, "scale.py", ("kernel",))
+
+    def test_divergent_barrier_is_flagged_under_kernel(self):
+        assert "SAN-BARRIER-DIV" in _rules(
+            DIVERGENT_BARRIER, "bad.py", ("kernel",))
+
+    def test_shared_race_still_fires_under_kernel(self):
+        assert "SAN-SHARED-RACE" in _rules(RACY_SHARED, "racy.py",
+                                           ("kernel",))
+
+    def test_absint_alone_emits_only_vec_notes(self):
+        for source in (SAXPY_UNGUARDED, DIVERGENT_BARRIER, RACY_SHARED):
+            rules = _rules(source, "k.py", ("absint",))
+            assert rules and all(r.startswith("VEC-") for r in rules)
+
+    def test_every_same_named_kernel_gets_a_verdict(self):
+        # launch sites bind by name, so the second `k` is proven under
+        # no launch env rather than skipped
         src = (
-            "import numpy as np\n"
             "from repro.jit import cuda\n\n"
-            "@cuda.jit\n"
-            "def racy(v, out):\n"
-            "    tile = cuda.shared.array(64, np.float32)\n"
-            "    tx = cuda.threadIdx.x\n"
-            "    tile[tx] = v[tx]\n"
-            "    out[tx] = tile[tx + 1]\n"
+            "def first():\n"
+            "    @cuda.jit\n"
+            "    def k(x):\n"
+            "        i = cuda.grid(1)\n"
+            "        if i < x.size:\n"
+            "            x[i] = 0.0\n\n"
+            "def second():\n"
+            "    @cuda.jit\n"
+            "    def k(x):\n"
+            "        i = cuda.grid(1)\n"
+            "        x[i] = 0.0\n"
         )
-        both = analyze_source(src, "racy.py",
-                              analyzers=("kernel", "absint"))
-        assert [f for f in both.findings if f.rule == "SAN-SHARED-RACE"]
+        assert [kc.oob for kc in absint_source(src, "k.py").classes] == \
+            ["proven_safe", "oob"]
+        oob = [f for f in analyze_source(src, "k.py",
+                                         analyzers=("kernel",)).findings
+               if f.rule == "SAN-OOB"]
+        assert [f.line for f in oob] == [14]
+
+
+class TestLineOffset:
+    def test_findings_shift_by_exactly_the_offset(self):
+        base = absint_source(SAXPY_UNGUARDED, "saxpy.py")
+        shifted = absint_source(SAXPY_UNGUARDED, "saxpy.py",
+                                line_offset=40)
+        assert [f.line + 40 for f in base.report.findings] == \
+            [f.line for f in shifted.report.findings]
+        assert shifted.classes[0].line == base.classes[0].line + 40
+
+    def test_divergence_message_names_the_shifted_predicate_line(self):
+        shifted = absint_source(DIVERGENT_BARRIER, "bad.py",
+                                line_offset=100)
+        div = [f for f in shifted.report.findings
+               if f.rule == "SAN-BARRIER-DIV"]
+        assert div[0].line == 107
+        assert "(line 106)" in div[0].message
+
+
+class TestRuleRegistry:
+    def test_every_emitted_rule_id_is_registered(self):
+        # the rule-id literals the passes hand to make_finding (directly
+        # or through an _emit helper) are exactly the registered rules
+        rule_id = re.compile(r"^[A-Z]+(-[A-Z]+)+$")
+        src = REPO / "src" / "repro"
+        ids = set()
+        for pkg in ("analysis", "sanitize", "perflint", "memcheck"):
+            for path in sorted((src / pkg).glob("*.py")):
+                if path.name == "rules.py":
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call) and node.args \
+                            and isinstance(node.args[0], ast.Constant) \
+                            and isinstance(node.args[0].value, str) \
+                            and rule_id.match(node.args[0].value):
+                        ids.add(node.args[0].value)
+        assert ids == set(RULES), sorted(ids ^ set(RULES))
+
+    def test_catalog_is_the_registry(self):
+        assert all_rules() == RULES
+        assert len(all_rules()) == 35     # the five merged registries
 
 
 class TestClassifyKernelAPI:
@@ -368,6 +443,9 @@ class TestClassifyKernelAPI:
         assert kc.klass == "elementwise"
         assert kc.oob == "proven_safe"
         assert kc.kernel == "double"
+        # the ``def`` line in the kernel's own file, not shifted twice
+        assert kc.line == mod.read_text().splitlines().index(
+            "def double(x, out):") + 1
 
     def test_classify_source_string(self):
         kc = classify_kernel(SAXPY_GUARDED)

@@ -65,7 +65,7 @@ from repro.jit import cuda
 @cuda.jit
 def strided_read(x, out):
     i = cuda.grid(1)
-    if i < out.size:
+    if i < out.size and i * 4 < x.size:
         out[i] = x[i * 4]
 ''',
     ),
@@ -132,6 +132,16 @@ def test_every_finding_has_hint(rule, tmp_path):
     path.write_text(FIXTURES[rule]["source"])
     for f in lint_file(path).findings:
         assert f.hint
+
+
+def test_unguarded_strided_read_is_oob():
+    # the SAN-UNCOALESCED fixture without its guard on `x`: `i < out.size`
+    # does not bound `i * 4` by `x.size`, so the kernel family proves OOB
+    source = FIXTURES["SAN-UNCOALESCED"]["source"].replace(
+        " and i * 4 < x.size", "")
+    oob = [f for f in lint_source(source).findings if f.rule == "SAN-OOB"]
+    assert [(f.line, f.context) for f in oob] == [(8, "strided_read")]
+    assert "`x`" in oob[0].message
 
 
 class TestCleanKernels:

@@ -58,7 +58,7 @@ class TestExitCodes:
 
     def test_errors_only_ignores_warnings(self, tmp_path, capsys):
         path = tmp_path / "warn.py"
-        # only an uncoalesced-access warning: the index is guarded
+        # only an uncoalesced-access warning: both indices are guarded
         path.write_text('''\
 from repro.jit import cuda
 
@@ -66,7 +66,7 @@ from repro.jit import cuda
 @cuda.jit
 def strided(x, out):
     i = cuda.grid(1)
-    if i < out.size:
+    if i < out.size and i * 4 < x.size:
         out[i] = x[i * 4]
 ''')
         assert main([str(path)]) == 1
