@@ -26,13 +26,20 @@ iterations** instead:
 * before a single event fires, the run pre-flights the worst-case KV
   token budget (``max_batch_size × max_seq_tokens``) through
   :func:`repro.memcheck.llm_token_budget_preflight` and refuses
-  over-committed configs with a ``MEM-PEAK-OOM`` finding.
+  over-committed configs with a ``MEM-PEAK-OOM`` finding — unless
+  ``kv_budget_bytes`` caps the cache explicitly, in which case the
+  findings are kept on ``preflight_findings`` and preemption absorbs
+  the pressure.
 
 Everything else — routing, admission control, retries, autoscaling
 ticks, spot interruptions, billing — is inherited unchanged from
-:class:`~repro.serve.simulator.EndpointSimulation`; the report gains
-tokens/sec, TTFT and inter-token-latency percentiles (exemplar-linked),
-preemption and KV-occupancy stats.
+:class:`~repro.serve.simulator.EndpointSimulation`, and so is the
+request lifecycle: every request resolves through the base class's
+``_expire``/``_shed``/``_complete`` and every iteration is recorded
+through ``_record_batch``.  This class overrides only ``run``,
+``_dispatch``, ``_pump``, ``_on_interrupt`` and ``_build_report``; the
+report gains tokens/sec, TTFT and inter-token-latency percentiles
+(exemplar-linked), preemption and KV-occupancy stats.
 """
 
 from __future__ import annotations
@@ -51,19 +58,9 @@ from repro.memcheck.estimate import (
 from repro.serve.endpoint import Replica, ReplicaState
 from repro.serve.loadgen import ArrivalTrace
 from repro.serve.report import SloReport
-from repro.serve.request import (
-    OUTCOME_COMPLETED,
-    OUTCOME_EXPIRED,
-    OUTCOME_SHED,
-    Request,
-)
-from repro.serve.simulator import (
-    LATENCY_EXEMPLARS,
-    EndpointSimulation,
-    _ns,
-)
+from repro.serve.request import Request
+from repro.serve.simulator import EndpointSimulation, latency_histogram
 from repro.telemetry import api as telemetry
-from repro.telemetry.metrics import Histogram
 
 DEFAULT_PAGE_TOKENS = 16
 
@@ -91,11 +88,11 @@ class _ReplicaDecoder:
     kv: object                    # PagedKvCache (lazy-imported)
     capacity_pages: int
     running: list[_Seq] = dc_field(default_factory=list)
-    epoch: int = 0
     scheduled: bool = False
-    #: the last iteration's record, emitted only after its completions
-    #: have resolved (so the sampler's batch refcounts see them)
-    pending_record: tuple | None = None
+    #: the last iteration's ``_record_batch`` arguments, recorded only
+    #: after its completions have resolved (so the sampler's batch
+    #: refcounts see them)
+    pending_record: dict | None = None
 
 
 class ContinuousBatchingSimulation(EndpointSimulation):
@@ -105,7 +102,6 @@ class ContinuousBatchingSimulation(EndpointSimulation):
     def __init__(self, endpoint, backend, *,
                  kv_budget_bytes: int | None = None,
                  kv_page_tokens: int = DEFAULT_PAGE_TOKENS,
-                 strict_preflight: bool = True,
                  **kwargs) -> None:
         for attr in ("spec", "prefill_ms", "decode_ms", "sample_lengths"):
             if not hasattr(backend, attr):
@@ -117,7 +113,6 @@ class ContinuousBatchingSimulation(EndpointSimulation):
         super().__init__(endpoint, backend, **kwargs)
         self.kv_budget_bytes = kv_budget_bytes
         self.kv_page_tokens = kv_page_tokens
-        self.strict_preflight = strict_preflight
         self.preflight = None
         self.preflight_findings: tuple = ()
 
@@ -132,8 +127,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             spec.weights_bytes, spec.kv_bytes_per_token, budget_tokens,
             cfg.instance_type, page_tokens=self.kv_page_tokens)
         self.preflight_findings = tuple(findings)
-        if findings and self.strict_preflight \
-                and self.kv_budget_bytes is None:
+        if findings and self.kv_budget_bytes is None:
             raise ReproError(
                 "KV token-budget pre-flight failed "
                 f"(MEM-PEAK-OOM): {self.preflight.render()}")
@@ -142,15 +136,9 @@ class ContinuousBatchingSimulation(EndpointSimulation):
         self.kv_shed = 0
         self.total_generated = 0
         self.total_prefill = 0
-        self.ttft_hist = Histogram("serve.ttft_ms",
-                                   max_samples=self.latency_reservoir,
-                                   max_exemplars=LATENCY_EXEMPLARS)
-        self.itl_hist = Histogram("serve.itl_ms",
-                                  max_samples=self.latency_reservoir,
-                                  max_exemplars=LATENCY_EXEMPLARS)
-        self.tps_hist = Histogram("serve.tokens_per_sec",
-                                  max_samples=self.latency_reservoir,
-                                  max_exemplars=LATENCY_EXEMPLARS)
+        self.ttft_hist = latency_histogram("serve.ttft_ms")
+        self.itl_hist = latency_histogram("serve.itl_ms")
+        self.tps_hist = latency_histogram("serve.tokens_per_sec")
         return super().run(trace, interruptions)
 
     # -- per-replica device state -----------------------------------------
@@ -198,13 +186,14 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             return
         if replica.queue or st.running:
             st.scheduled = True
-            self._push(self.now_ms, "iter", (replica, st.epoch))
+            self._push(self.now_ms, "iter",
+                       (replica, replica.service_epoch))
 
     # -- the iteration loop ------------------------------------------------
 
     def _on_iter(self, replica: Replica, epoch: int) -> None:
         st = self._decoders.get(replica.replica_id)
-        if st is None or st.epoch != epoch:
+        if st is None or epoch != replica.service_epoch:
             return
         if replica.state is ReplicaState.TERMINATED:
             st.scheduled = False
@@ -216,7 +205,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             replica.in_flight = None
         self._finish_completed(replica, st)
         if st.pending_record is not None:
-            self._record_iteration(replica, *st.pending_record)
+            self._record_batch(replica, **st.pending_record)
             st.pending_record = None
         self._admit(replica, st)
         if not st.running:
@@ -242,7 +231,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
         # mirror the running set so routing (least-outstanding), drain
         # and spot-interrupt displacement see iteration-plane work
         replica.in_flight = [(s.req, end) for s in st.running]
-        self._push(end, "iter", (replica, st.epoch))
+        self._push(end, "iter", (replica, replica.service_epoch))
 
     def _admit(self, replica: Replica, st: _ReplicaDecoder) -> None:
         """Board queued requests into free slots, FIFO, KV- and
@@ -254,7 +243,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             req = replica.queue[0]
             if req.expired(self.now_ms):
                 replica.queue.popleft()
-                self._resolve_expired(req)
+                self._expire(req)
                 continue
             prompt, gen = backend.sample_lengths(req.query)
             pages_lifetime = -(-(prompt + gen) // self.kv_page_tokens)
@@ -262,7 +251,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                 # can never fit, even on an empty cache: fail fast
                 replica.queue.popleft()
                 self.kv_shed += 1
-                self._resolve_shed(req)
+                self._shed(req)
                 continue
             if req.deadline_ms is not None and \
                     self.now_ms + backend.prefill_ms([prompt]) \
@@ -270,7 +259,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                 # deadline-aware admission: it cannot even prefill in
                 # time, so expire it now instead of burning GPU on it
                 replica.queue.popleft()
-                self._resolve_expired(req)
+                self._expire(req)
                 continue
             if not st.kv.allocate(req.request_id, prompt):
                 break               # wait for pages to free up
@@ -303,9 +292,11 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                 s.finished = True
                 s.finish_batch = batch_id
                 s.iteration_size = len(new)
-        st.pending_record = (
-            batch_id, len(new), self.now_ms, end, "serve.prefill_iter",
-            "prefill", sum(prompts), self.backend.prefill_key(prompts))
+        st.pending_record = dict(
+            batch_id=batch_id, size=len(new), start_ms=self.now_ms,
+            end_ms=end, label="serve.prefill_iter", phase="prefill",
+            tokens=sum(prompts),
+            calibration_key=self.backend.prefill_key(prompts))
         return end
 
     def _decode_iteration(self, replica: Replica,
@@ -329,7 +320,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             else:
                 # a lone sequence the pool cannot hold mid-decode
                 self.kv_shed += 1
-                self._resolve_shed(victim.req)
+                self._shed(victim.req)
         if not st.running:
             return self.now_ms
         ctxs = [s.prompt_tokens + s.produced for s in st.running]
@@ -350,28 +341,12 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                 s.finished = True
                 s.finish_batch = batch_id
                 s.iteration_size = len(st.running)
-        st.pending_record = (
-            batch_id, len(st.running), self.now_ms, end,
-            "serve.decode_iter", "decode", len(st.running),
-            self.backend.decode_key(ctxs))
+        st.pending_record = dict(
+            batch_id=batch_id, size=len(st.running), start_ms=self.now_ms,
+            end_ms=end, label="serve.decode_iter", phase="decode",
+            tokens=len(st.running),
+            calibration_key=self.backend.decode_key(ctxs))
         return end
-
-    def _record_iteration(self, replica: Replica, batch_id: int,
-                          size: int, start_ms: float, end_ms: float,
-                          label: str, phase: str, tokens: int,
-                          calibration_key) -> None:
-        if self.observer is not None:
-            self.observer.on_batch(
-                batch_id, replica.replica_id, size, start_ms, end_ms,
-                label=label, phase=phase, tokens=tokens,
-                calibration_key=calibration_key)
-        else:
-            telemetry.record(
-                label, "stage", _ns(start_ms), _ns(end_ms),
-                attributes={"batch_id": batch_id,
-                            "replica": replica.replica_id,
-                            "batch_size": size, "phase": phase,
-                            "tokens": tokens})
 
     def _finish_completed(self, replica: Replica,
                           st: _ReplicaDecoder) -> None:
@@ -385,17 +360,6 @@ class ContinuousBatchingSimulation(EndpointSimulation):
         for s in done:
             st.kv.release(s.req.request_id)
             req = s.req
-            req.replica_id = replica.replica_id
-            req.batch_size = s.iteration_size
-            req.tokens_generated = s.produced
-            req.resolve(OUTCOME_COMPLETED, self.now_ms)
-            latency = self.now_ms - req.arrival_ms
-            self.completed += 1
-            self._completions_since_tick += 1
-            self.last_finish_ms = max(self.last_finish_ms, self.now_ms)
-            self.latency_hist.observe(latency,
-                                      exemplar=f"{req.request_id:012d}")
-            replica.queries_served += 1
             self.total_generated += s.gen_tokens
             if req.first_token_ms is not None and s.produced >= 2:
                 window_s = (self.now_ms - req.first_token_ms) / 1e3
@@ -403,48 +367,22 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                     self.tps_hist.observe(
                         (s.produced - 1) / window_s,
                         exemplar=f"{req.request_id:012d}")
-            telemetry.observe("serve.latency_ms", latency)
-            telemetry.count("serve.completed")
-            if self.observer is not None:
-                self.observer.on_resolve(req, batch_id=s.finish_batch)
-            else:
-                telemetry.record(
-                    "serve.request", "request",
-                    _ns(req.arrival_ms), _ns(self.now_ms),
-                    attributes={"request_id": req.request_id,
-                                "replica": replica.replica_id,
-                                "batch_size": s.iteration_size,
-                                "tokens": s.produced,
-                                "attempts": req.attempts})
-
-    # -- resolution helpers ------------------------------------------------
-
-    def _resolve_expired(self, req: Request) -> None:
-        req.resolve(OUTCOME_EXPIRED, self.now_ms)
-        self.expired += 1
-        telemetry.count("serve.expired")
-        if self.observer is not None:
-            self.observer.on_resolve(req)
-
-    def _resolve_shed(self, req: Request) -> None:
-        req.resolve(OUTCOME_SHED, self.now_ms)
-        self.shed += 1
-        telemetry.count("serve.shed")
-        if self.observer is not None:
-            self.observer.on_resolve(req)
+            self._complete(replica, req, self.now_ms, s.finish_batch,
+                           s.iteration_size, tokens=s.produced)
 
     # -- fleet lifecycle ---------------------------------------------------
 
     def _on_interrupt(self, replica_id: int) -> None:
-        st = self._decoders.pop(replica_id, None)
+        st = self._decoders.get(replica_id)
         if st is not None:
-            # drop the replica's device state; its running requests are
-            # displaced through the in_flight mirror by the base handler
-            # and recompute from scratch on a survivor
+            # free the running sequences' pages; the requests themselves
+            # are displaced through the in_flight mirror by the base
+            # handler (which also bumps service_epoch, staling the pending
+            # ``iter``) and recompute from scratch on a survivor.  The
+            # decoder stays, so teardown still audits its pool.
             for s in st.running:
                 st.kv.release(s.req.request_id)
             st.running = []
-            st.epoch += 1
         super()._on_interrupt(replica_id)
 
     # -- the report --------------------------------------------------------

@@ -120,6 +120,7 @@ class Replica:
         # epochs invalidate stale scheduled events (timeouts / completions)
         self.service_epoch = 0
         self.timer_epoch = 0
+        self.timer_armed = False      # a batch-timeout window is open
         self.invocations = 0          # batches served, lifetime
         self.queries_served = 0
         # busy intervals since the last metrics tick, for GPU utilization

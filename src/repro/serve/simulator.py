@@ -60,10 +60,17 @@ from repro.telemetry.metrics import Histogram
 
 LATENCY_RESERVOIR = 8192
 LATENCY_EXEMPLARS = 5
+HOURS_PER_MS = 1.0 / MS_PER_HOUR
 
 
 def _ns(ms: float) -> int:
     return int(round(ms * 1e6))
+
+
+def latency_histogram(name: str) -> Histogram:
+    """A reservoir-bounded, exemplar-keeping latency distribution."""
+    return Histogram(name, max_samples=LATENCY_RESERVOIR,
+                     max_exemplars=LATENCY_EXEMPLARS)
 
 
 class EndpointSimulation:
@@ -73,24 +80,16 @@ class EndpointSimulation:
                  autoscaler: Autoscaler | None = None,
                  retry_policy: RetryPolicy | None = None,
                  tick_ms: float = 25.0,
-                 hours_per_ms: float = 1.0 / MS_PER_HOUR,
                  settle_ms: float = 0.0,
-                 replace_interrupted: bool = True,
-                 latency_reservoir: int = LATENCY_RESERVOIR,
                  observer=None) -> None:
         if tick_ms <= 0:
             raise ReproError("tick_ms must be positive")
-        if hours_per_ms <= 0:
-            raise ReproError("hours_per_ms must be positive")
         self.endpoint = endpoint
         self.backend = backend
         self.autoscaler = autoscaler
         self.retry_policy = retry_policy or RetryPolicy()
         self.tick_ms = tick_ms
-        self.hours_per_ms = hours_per_ms
         self.settle_ms = settle_ms
-        self.replace_interrupted = replace_interrupted
-        self.latency_reservoir = latency_reservoir
         # An observation layer (repro.obs's EndpointObserver, or anything
         # with the same hooks).  When attached it owns span emission for
         # requests/batches — sampled and bounded — so the inline
@@ -106,13 +105,13 @@ class EndpointSimulation:
     def _advance_cloud(self) -> None:
         """Bring the cloud session's hour clock up to the event clock, so
         instance lifecycle changes settle billing at the exact moment."""
-        target_h = self._epoch_h + self.now_ms * self.hours_per_ms
+        target_h = self._epoch_h + self.now_ms * HOURS_PER_MS
         session = self.endpoint.session
         if target_h > session.now_h:
             session.advance_hours(target_h - session.now_h)
 
     def _timestamp_h(self, time_ms: float) -> float:
-        return self._epoch_h + time_ms * self.hours_per_ms
+        return self._epoch_h + time_ms * HOURS_PER_MS
 
     # -- the run ----------------------------------------------------------
 
@@ -144,9 +143,7 @@ class EndpointSimulation:
         self.peak_replicas = len(ep.in_service())
         self.replica_timeline: list[tuple[float, int, int]] = []
         self._batch_of_replica: dict[int, int] = {}
-        self.latency_hist = Histogram("serve.latency_ms",
-                                      max_samples=self.latency_reservoir,
-                                      max_exemplars=LATENCY_EXEMPLARS)
+        self.latency_hist = latency_histogram("serve.latency_ms")
         requests = [
             Request(request_id=i, query=a.query, arrival_ms=a.time_ms,
                     deadline_ms=(a.time_ms + ep.config.default_deadline_ms
@@ -198,11 +195,7 @@ class EndpointSimulation:
 
     def _on_arrival(self, req: Request) -> None:
         if req.expired(self.now_ms):
-            req.resolve(OUTCOME_EXPIRED, self.now_ms)
-            self.expired += 1
-            telemetry.count("serve.expired")
-            if self.observer is not None:
-                self.observer.on_resolve(req)
+            self._expire(req)
             return
         cfg = self.endpoint.config
         candidates = [r for r in self.endpoint.replicas
@@ -224,11 +217,7 @@ class EndpointSimulation:
             delay = self.retry_policy.delay_ms(req.attempts)
             self._push(self.now_ms + delay, "arrival", req)
         else:
-            req.resolve(OUTCOME_SHED, self.now_ms)
-            self.shed += 1
-            telemetry.count("serve.shed")
-            if self.observer is not None:
-                self.observer.on_resolve(req)
+            self._shed(req)
 
     # -- batching ---------------------------------------------------------
 
@@ -244,15 +233,14 @@ class EndpointSimulation:
                 or cfg.batch_timeout_ms == 0):
             self._start_batch(replica)
             return
-        if not getattr(replica, "timer_armed", False):
+        if not replica.timer_armed:
             replica.timer_armed = True
             replica.timer_epoch += 1
             self._push(self.now_ms + cfg.batch_timeout_ms, "timeout",
                        (replica, replica.timer_epoch))
 
     def _on_timeout(self, replica: Replica, epoch: int) -> None:
-        if epoch != replica.timer_epoch or not getattr(
-                replica, "timer_armed", False):
+        if epoch != replica.timer_epoch or not replica.timer_armed:
             return
         replica.timer_armed = False
         if replica.in_flight is None and replica.queue \
@@ -267,11 +255,7 @@ class EndpointSimulation:
         while replica.queue and len(batch) < cfg.max_batch_size:
             req = replica.queue.popleft()
             if req.expired(self.now_ms):
-                req.resolve(OUTCOME_EXPIRED, self.now_ms)
-                self.expired += 1
-                telemetry.count("serve.expired")
-                if self.observer is not None:
-                    self.observer.on_resolve(req)
+                self._expire(req)
                 continue
             batch.append(req)
         if not batch:
@@ -298,38 +282,9 @@ class EndpointSimulation:
         batch_size = len(replica.in_flight)
         batch_id = self._batch_of_replica.get(replica.replica_id, 0)
         for req, finish_ms in replica.in_flight:
-            req.replica_id = replica.replica_id
-            req.batch_size = batch_size
-            req.resolve(OUTCOME_COMPLETED, finish_ms)
-            latency = finish_ms - req.arrival_ms
-            self.completed += 1
-            self._completions_since_tick += 1
-            self.last_finish_ms = max(self.last_finish_ms, finish_ms)
-            self.latency_hist.observe(latency,
-                                      exemplar=f"{req.request_id:012d}")
-            replica.queries_served += 1
-            telemetry.observe("serve.latency_ms", latency)
-            telemetry.count("serve.completed")
-            if self.observer is not None:
-                self.observer.on_resolve(req, batch_id=batch_id)
-            else:
-                telemetry.record(
-                    "serve.request", "request",
-                    _ns(req.arrival_ms), _ns(finish_ms),
-                    attributes={"request_id": req.request_id,
-                                "replica": replica.replica_id,
-                                "batch_size": batch_size,
-                                "attempts": req.attempts})
-        if self.observer is not None:
-            self.observer.on_batch(
-                batch_id, replica.replica_id, batch_size,
-                replica.busy_from_ms, replica.busy_until_ms)
-        else:
-            telemetry.record(
-                "serve.batch", "stage",
-                _ns(replica.busy_from_ms), _ns(replica.busy_until_ms),
-                attributes={"replica": replica.replica_id,
-                            "batch_size": batch_size})
+            self._complete(replica, req, finish_ms, batch_id, batch_size)
+        self._record_batch(replica, batch_id, batch_size,
+                           replica.busy_from_ms, replica.busy_until_ms)
         replica.recent_busy.append((replica.busy_from_ms,
                                     replica.busy_until_ms))
         replica.in_flight = None
@@ -337,6 +292,74 @@ class EndpointSimulation:
             self._start_batch(replica)
         elif replica.state is ReplicaState.DRAINING:
             self._finish_drain(replica)
+
+    # -- resolution: the one place a request leaves the plane -------------
+
+    def _expire(self, req: Request) -> None:
+        req.resolve(OUTCOME_EXPIRED, self.now_ms)
+        self.expired += 1
+        telemetry.count("serve.expired")
+        if self.observer is not None:
+            self.observer.on_resolve(req)
+
+    def _shed(self, req: Request) -> None:
+        req.resolve(OUTCOME_SHED, self.now_ms)
+        self.shed += 1
+        telemetry.count("serve.shed")
+        if self.observer is not None:
+            self.observer.on_resolve(req)
+
+    def _complete(self, replica: Replica, req: Request, finish_ms: float,
+                  batch_id: int, batch_size: int,
+                  tokens: int | None = None) -> None:
+        """Resolve ``req`` as served by ``replica`` at ``finish_ms``;
+        ``tokens`` is the generated-token count (iteration plane only)."""
+        req.replica_id = replica.replica_id
+        req.batch_size = batch_size
+        if tokens is not None:
+            req.tokens_generated = tokens
+        req.resolve(OUTCOME_COMPLETED, finish_ms)
+        latency = finish_ms - req.arrival_ms
+        self.completed += 1
+        self._completions_since_tick += 1
+        self.last_finish_ms = max(self.last_finish_ms, finish_ms)
+        self.latency_hist.observe(latency, exemplar=f"{req.request_id:012d}")
+        replica.queries_served += 1
+        telemetry.observe("serve.latency_ms", latency)
+        telemetry.count("serve.completed")
+        if self.observer is not None:
+            self.observer.on_resolve(req, batch_id=batch_id)
+            return
+        attributes = {"request_id": req.request_id,
+                      "replica": replica.replica_id,
+                      "batch_size": batch_size}
+        if tokens is not None:
+            attributes["tokens"] = tokens
+        attributes["attempts"] = req.attempts
+        telemetry.record("serve.request", "request", _ns(req.arrival_ms),
+                         _ns(finish_ms), attributes=attributes)
+
+    def _record_batch(self, replica: Replica, batch_id: int, size: int,
+                      start_ms: float, end_ms: float, *,
+                      label: str = "serve.batch", phase: str = "",
+                      tokens: int = 0, calibration_key=None) -> None:
+        """Record one served batch (or prefill/decode iteration, when
+        ``phase`` is set) after its requests have resolved."""
+        if self.observer is not None:
+            self.observer.on_batch(
+                batch_id, replica.replica_id, size, start_ms, end_ms,
+                label=label, phase=phase, tokens=tokens,
+                calibration_key=calibration_key)
+            return
+        if phase:
+            attributes = {"batch_id": batch_id,
+                          "replica": replica.replica_id,
+                          "batch_size": size, "phase": phase,
+                          "tokens": tokens}
+        else:
+            attributes = {"replica": replica.replica_id, "batch_size": size}
+        telemetry.record(label, "stage", _ns(start_ms), _ns(end_ms),
+                         attributes=attributes)
 
     # -- fleet lifecycle --------------------------------------------------
 
@@ -372,10 +395,9 @@ class EndpointSimulation:
         telemetry.add_event("endpoint.spot_interruption",
                             replica=replica_id,
                             displaced=len(displaced))
-        if self.replace_interrupted:
-            fresh = ep.launch_replica(state=ReplicaState.PROVISIONING)
-            self._push(self.now_ms + ep.config.provision_delay_ms,
-                       "provisioned", fresh)
+        fresh = ep.launch_replica(state=ReplicaState.PROVISIONING)
+        self._push(self.now_ms + ep.config.provision_delay_ms,
+                   "provisioned", fresh)
         # re-dispatch displaced work onto the survivors, oldest first
         for req in displaced:
             self._on_arrival(req)

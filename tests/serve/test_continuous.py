@@ -58,6 +58,26 @@ class TestConservation:
         for st in sim._decoders.values():
             assert st.kv.live_pages == 0 and st.pool.leak_report().ok
 
+    def test_interrupted_replicas_pool_is_audited(self, make_endpoint):
+        # the reclaimed replica's decoder stays registered, so teardown
+        # frees its weights and audits its pool like every other
+        ep = make_endpoint(min_replicas=1, max_replicas=2)
+        sim = ContinuousBatchingSimulation(ep, llm_backend())
+        grabbed = []
+        on_interrupt = sim._on_interrupt
+
+        def spy(replica_id):
+            grabbed.append(sim._decoders[replica_id])
+            on_interrupt(replica_id)
+
+        sim._on_interrupt = spy
+        sim.run(constant_trace(40.0, 400.0, PROMPTS, seed=1),
+                interruptions=[(100.0, 0)])
+        (st,) = grabbed
+        assert st.kv.live_seqs == 0 and st.kv.live_pages == 0
+        assert st.pool.free_bytes == st.pool.total_bytes
+        assert st.pool.leak_report().ok
+
 
 class TestLlmReportFields:
     @pytest.fixture(scope="class")
@@ -114,8 +134,8 @@ class TestPagedKvPressure:
         backend = llm_backend()
         budget = backend.spec.kv_bytes_per_token * 16 * 40   # 40 pages
         ep = make_endpoint(max_batch_size=8, max_queue_depth=128)
-        sim = ContinuousBatchingSimulation(
-            ep, backend, kv_budget_bytes=budget, strict_preflight=False)
+        sim = ContinuousBatchingSimulation(ep, backend,
+                                           kv_budget_bytes=budget)
         report = sim.run(poisson_trace(40.0, 800.0, PROMPTS, seed=2))
         assert report.preemptions > 0
         assert report.kv_peak_pages <= 40        # the ledger held the line
