@@ -106,10 +106,8 @@ class LlmBackend:
 
     def _measure(self, key: tuple, kernels: list[KernelCost]) -> float:
         """Run ``kernels`` once under an ``llm.calibrate`` span; cache
-        the measured duration and the span context under ``key``."""
-        cached = self._timings.get(key)
-        if cached is not None:
-            return cached
+        the measured duration and the span context under ``key`` (the
+        phase timings look the cache up before building ``kernels``)."""
         dev = self.system.devices[0]
         label = "-".join(str(k) for k in key)
         with telemetry.span(f"llm.calibrate[{label}]", kind="stage",
@@ -147,9 +145,11 @@ class LlmBackend:
         """Measured duration of one prefill pass over whole prompts."""
         if not prompt_lens:
             raise ReproError("prefill needs at least one sequence")
-        n = len(prompt_lens)
-        per_seq = _bucket(sum(prompt_lens) / n)
-        key = ("prefill", n, per_seq)
+        key = self.prefill_key(prompt_lens)
+        cached = self._timings.get(key)
+        if cached is not None:
+            return cached
+        _, n, per_seq = key
         lens = (per_seq,) * n
         spec = self.spec
         read, written = spec.prefill_bytes(lens)
@@ -171,9 +171,11 @@ class LlmBackend:
         sequence, attention over ``context_lens`` cached tokens)."""
         if not context_lens:
             raise ReproError("decode needs at least one sequence")
-        n = len(context_lens)
-        per_seq = _bucket(sum(context_lens) / n)
-        key = ("decode", n, per_seq)
+        key = self.decode_key(context_lens)
+        cached = self._timings.get(key)
+        if cached is not None:
+            return cached
+        _, n, per_seq = key
         spec = self.spec
         total_ctx = n * per_seq
         read, written = spec.decode_step_bytes(n, total_ctx)

@@ -77,6 +77,10 @@ class _Seq:
     finished: bool = False
     finish_batch: int = 0         # iteration id that produced the last token
     iteration_size: int = 0       # batch width of that iteration
+    label: str = dc_field(init=False)   # exemplar label, formatted once
+
+    def __post_init__(self) -> None:
+        self.label = f"{self.req.request_id:012d}"
 
 
 @dataclass
@@ -287,7 +291,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             if req.first_token_ms is None:
                 req.first_token_ms = end
                 self.ttft_hist.observe(end - req.arrival_ms,
-                                       exemplar=f"{req.request_id:012d}")
+                                       exemplar=s.label)
             if s.produced >= s.gen_tokens:
                 s.finished = True
                 s.finish_batch = batch_id
@@ -302,13 +306,13 @@ class ContinuousBatchingSimulation(EndpointSimulation):
     def _decode_iteration(self, replica: Replica,
                           st: _ReplicaDecoder) -> float:
         """One decode step for every running sequence, preempting the
-        youngest first when the KV pool cannot grow everyone."""
+        youngest first when the KV pool cannot grow everyone.  The KV
+        grant, the token count and the ITL observation are one bulk
+        call each for the whole batch."""
         kv = st.kv
-        while st.running:
-            need = sum(kv.pages_to_grow(s.req.request_id)
-                       for s in st.running)
-            if need <= kv.free_pages:
-                break
+        ids = [s.req.request_id for s in st.running]
+        while ids and kv.pages_for_step(ids) > kv.free_pages:
+            ids.pop()
             victim = st.running.pop()      # youngest boards last
             kv.release(victim.req.request_id)
             if st.running:
@@ -321,31 +325,30 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                 # a lone sequence the pool cannot hold mid-decode
                 self.kv_shed += 1
                 self._shed(victim.req)
-        if not st.running:
+        running = st.running
+        if not running:
             return self.now_ms
-        ctxs = [s.prompt_tokens + s.produced for s in st.running]
+        ctxs = [s.prompt_tokens + s.produced for s in running]
+        key = self.backend.decode_key(ctxs)
         dt = self.backend.decode_ms(ctxs)
         end = self.now_ms + dt
+        n = len(running)
         self.batches += 1
-        self.batch_queries += len(st.running)
+        self.batch_queries += n
         batch_id = self.batches
-        for s in st.running:
-            if not kv.grow(s.req.request_id):
-                raise ReproError(
-                    "KV grow failed after capacity check — "
-                    "page accounting is inconsistent")
+        kv.step(ids)
+        self.backend.generated_tokens += n
+        self.itl_hist.observe_many(dt, [s.label for s in running])
+        for s in running:
             s.produced += 1
-            self.backend.generated_tokens += 1
-            self.itl_hist.observe(dt, exemplar=f"{s.req.request_id:012d}")
             if s.produced >= s.gen_tokens:
                 s.finished = True
                 s.finish_batch = batch_id
-                s.iteration_size = len(st.running)
+                s.iteration_size = n
         st.pending_record = dict(
-            batch_id=batch_id, size=len(st.running), start_ms=self.now_ms,
+            batch_id=batch_id, size=n, start_ms=self.now_ms,
             end_ms=end, label="serve.decode_iter", phase="decode",
-            tokens=len(st.running),
-            calibration_key=self.backend.decode_key(ctxs))
+            tokens=n, calibration_key=key)
         return end
 
     def _finish_completed(self, replica: Replica,
@@ -364,9 +367,8 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             if req.first_token_ms is not None and s.produced >= 2:
                 window_s = (self.now_ms - req.first_token_ms) / 1e3
                 if window_s > 0:
-                    self.tps_hist.observe(
-                        (s.produced - 1) / window_s,
-                        exemplar=f"{req.request_id:012d}")
+                    self.tps_hist.observe((s.produced - 1) / window_s,
+                                          exemplar=s.label)
             self._complete(replica, req, self.now_ms, s.finish_batch,
                            s.iteration_size, tokens=s.produced)
 
@@ -390,8 +392,11 @@ class ContinuousBatchingSimulation(EndpointSimulation):
     def _teardown_decoders(self) -> None:
         """Release weights and assert the KV ledger drained to zero —
         the conservation check that no completed/preempted/displaced
-        sequence leaked pages."""
+        sequence leaked pages.  The page tables are recounted once
+        against the cache's incremental totals first, so counter drift
+        cannot hide a leak."""
         for rid, st in sorted(self._decoders.items()):
+            st.kv.audit()
             if st.kv.live_seqs or st.kv.live_pages:
                 raise ReproError(
                     f"KV ledger leak on replica {rid}: "

@@ -13,9 +13,11 @@ workflow metrics instead of raw activity timestamps.
 
 from __future__ import annotations
 
+import bisect
 import random
 import zlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -91,31 +93,52 @@ class Histogram:
             raise ReproError("max_exemplars must be non-negative")
         self._observed = len(self.samples)
         self._total = float(np.sum(self.samples)) if self.samples else 0.0
+        self.exemplars.sort()
         self._rng = random.Random(
             zlib.crc32(f"{self.name}:{self.max_samples}".encode()))
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
-        value = float(value)
-        self._observed += 1
-        self._total += value
-        if exemplar is not None and self.max_exemplars:
-            self._keep_exemplar(value, exemplar)
-        if self.max_samples is None or len(self.samples) < self.max_samples:
-            self.samples.append(value)
-            return
-        # Vitter's algorithm R: keep each of the n observations with
-        # probability max_samples/n.
-        j = self._rng.randrange(self._observed)
-        if j < self.max_samples:
-            self.samples[j] = value
+        self.observe_many(value, (exemplar,))
 
-    def _keep_exemplar(self, value: float, label: str) -> None:
-        self.exemplars.append((value, label))
-        if len(self.exemplars) > self.max_exemplars:
-            # drop the smallest (value, label) — top-k by value, label
-            # tiebreak, so the kept set is observation-order independent
-            self.exemplars.sort()
-            del self.exemplars[0]
+    def observe_many(self, value: float,
+                     labels: Sequence[str | None]) -> None:
+        """Observe ``value`` once per entry of ``labels``, each entry the
+        exemplar label of its observation (``None`` for none) — exactly
+        ``observe(value, exemplar=label)`` for each label in order,
+        including one reservoir draw per observation past
+        ``max_samples``, so the RNG stream, reservoir and exemplars are
+        byte-identical to the one-at-a-time loop.  One call per decode
+        iteration records the whole batch's inter-token latency."""
+        value = float(value)
+        cap = self.max_samples
+        samples = self.samples
+        keep = self.max_exemplars
+        exemplars = self.exemplars      # sorted ascending: head = smallest
+        randrange = self._rng.randrange
+        observed = self._observed
+        total = self._total
+        for label in labels:
+            observed += 1
+            total += value
+            if label is not None and keep:
+                # top-k by value, label tiebreak, so the kept set is
+                # observation-order independent
+                ex = (value, label)
+                if len(exemplars) < keep:
+                    bisect.insort(exemplars, ex)
+                elif ex > exemplars[0]:
+                    del exemplars[0]
+                    bisect.insort(exemplars, ex)
+            if cap is None or len(samples) < cap:
+                samples.append(value)
+                continue
+            # Vitter's algorithm R: keep each of the n observations with
+            # probability max_samples/n.
+            j = randrange(observed)
+            if j < cap:
+                samples[j] = value
+        self._observed = observed
+        self._total = total
 
     def top_exemplars(self) -> list[tuple[float, str]]:
         """Retained exemplars, worst (largest value) first."""

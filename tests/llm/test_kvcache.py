@@ -1,6 +1,8 @@
-"""PagedKvCache: page arithmetic, soft exhaustion, ledger conservation."""
+"""PagedKvCache: page arithmetic, soft exhaustion, ledger conservation,
+the bulk decode step and its incremental counters."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.gpu.memory import MemoryPool
@@ -103,3 +105,104 @@ class TestPeakStats:
             PagedKvCache(cache.pool, BYTES_PER_TOKEN, page_tokens=0)
         with pytest.raises(ReproError):
             PagedKvCache(cache.pool, 0)
+
+
+class TestStep:
+    def test_step_grants_one_token_each_and_pages_on_boundaries(self, cache):
+        cache.allocate(1, PAGE_TOKENS)        # last page full
+        cache.allocate(2, 5)                  # room left on page 2
+        assert cache.pages_for_step([1, 2]) == 1
+        cache.step([1, 2])
+        assert (cache.tokens_of(1), cache.tokens_of(2)) == (5, 6)
+        assert cache.live_pages == 4
+        assert cache.live_tokens == 11
+
+    def test_step_short_of_pages_raises_with_nothing_changed(self, cache):
+        cache.allocate(1, POOL_PAGES * PAGE_TOKENS)   # pool is full
+        with pytest.raises(ReproError, match="after capacity check"):
+            cache.step([1])
+        assert cache.tokens_of(1) == POOL_PAGES * PAGE_TOKENS
+        assert cache.live_pages == POOL_PAGES
+
+    def test_step_unknown_sequence_raises(self, cache):
+        cache.allocate(1, 3)
+        with pytest.raises(ReproError, match="99"):
+            cache.step([1, 99])
+        with pytest.raises(ReproError):
+            cache.pages_for_step([99])
+        assert cache.tokens_of(1) == 3
+
+
+class TestCounterAudit:
+    def test_audit_passes_on_consistent_counters(self, cache):
+        cache.allocate(1, 7)
+        cache.step([1])
+        cache.audit()
+
+    def test_audit_catches_counter_drift(self, cache):
+        cache.allocate(1, 7)
+        cache._live_pages -= 1
+        with pytest.raises(ReproError, match="drift"):
+            cache.audit()
+
+
+# -- properties --------------------------------------------------------------
+
+SEQS = st.integers(0, 5)
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("allocate"), SEQS, st.integers(0, 20)),
+    st.tuples(st.just("grow"), SEQS, st.integers(1, 6)),
+    st.tuples(st.just("step"), st.lists(SEQS, unique=True, max_size=6)),
+    st.tuples(st.just("release"), SEQS),
+), max_size=40)
+
+
+def _fresh_cache():
+    pool = MemoryPool(12 * PAGE_BYTES, reserve_fraction=0.0,
+                      stats_page_bytes=PAGE_BYTES)
+    return PagedKvCache(pool, BYTES_PER_TOKEN, page_tokens=PAGE_TOKENS)
+
+
+def _assert_counters_match_recount(kv):
+    assert kv.live_pages == sum(len(kv.page_table(s)) for s in range(6))
+    assert kv.live_tokens == sum(kv.tokens_of(s) for s in range(6))
+    kv.audit()
+
+
+@settings(max_examples=150, deadline=None)
+@given(OPS)
+def test_step_matches_a_grow_loop_and_counters_match_a_recount(ops):
+    """``stepped`` takes each decode step in bulk, ``grown`` as a loop of
+    ``grow``; both see every other operation identically."""
+    stepped, grown = _fresh_cache(), _fresh_cache()
+    for op in ops:
+        kind = op[0]
+        if kind == "step":
+            ids = [s for s in op[1] if s in stepped._tables]
+            if stepped.pages_for_step(ids) > stepped.free_pages:
+                before = [stepped.tokens_of(s) for s in ids]
+                with pytest.raises(ReproError):
+                    stepped.step(ids)
+                assert [stepped.tokens_of(s) for s in ids] == before
+                continue
+            stepped.step(ids)
+            for s in ids:
+                assert grown.grow(s)
+        else:
+            for kv in (stepped, grown):
+                if kind == "allocate":
+                    if op[1] not in kv._tables:
+                        kv.allocate(op[1], op[2])
+                elif kind == "grow":
+                    if op[1] in kv._tables:
+                        kv.grow(op[1], op[2])
+                else:
+                    kv.release(op[1])
+        for kv in (stepped, grown):
+            _assert_counters_match_recount(kv)
+        for s in range(6):
+            assert stepped.page_table(s) == grown.page_table(s)
+            assert stepped.tokens_of(s) == grown.tokens_of(s)
+        assert stepped.peak_pages == grown.peak_pages
+        assert stepped.peak_page_utilization == grown.peak_page_utilization
+        assert stepped.utilization() == grown.utilization()

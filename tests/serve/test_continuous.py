@@ -78,6 +78,28 @@ class TestConservation:
         assert st.pool.free_bytes == st.pool.total_bytes
         assert st.pool.leak_report().ok
 
+    def test_teardown_recount_catches_counter_drift(self, make_endpoint):
+        # every page goes back, but one release miscounts the live
+        # tokens: only a recount of the page tables can notice
+        ep = make_endpoint()
+        sim = ContinuousBatchingSimulation(ep, llm_backend())
+        make_decoder = sim._decoder
+
+        def drifting_decoder(replica):
+            st = make_decoder(replica)
+            kv, release = st.kv, st.kv.release
+
+            def drifting_release(seq_id):
+                kv._live_tokens += 1
+                return release(seq_id)
+
+            kv.release = drifting_release
+            return st
+
+        sim._decoder = drifting_decoder
+        with pytest.raises(ReproError, match="drift"):
+            sim.run(constant_trace(40.0, 400.0, PROMPTS, seed=1))
+
 
 class TestLlmReportFields:
     @pytest.fixture(scope="class")

@@ -1,6 +1,9 @@
 """Metrics instruments, the registry, and the CloudWatch bridge."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.cloudwatch import Alarm, AlarmState, CloudWatch
 from repro.errors import ReproError
@@ -209,9 +212,11 @@ class TestDeviceMemory:
     def test_memory_pressure_alarm_fires_and_clears(self, system1):
         from repro.telemetry.metrics import record_device_memory
 
-        buf = self._load(system1,
-                         nbytes=int(system1.device(0).memory.total_bytes
-                                    * 0.95))
+        # ballast through the ledger alone (the gauges read only
+        # dev.memory), so filling a 16 GB T4 costs no host RAM
+        memory = system1.device(0).memory
+        ballast = memory.allocate(int(memory.total_bytes * 0.95),
+                                  tag="ballast")
         cw = CloudWatch()
         cw.put_alarm(Alarm(name="memory-pressure", namespace="telemetry",
                            metric="DeviceMemoryUtilization",
@@ -222,7 +227,7 @@ class TestDeviceMemory:
         reg.publish_cloudwatch(cw, dimension="i-1", timestamp_h=1.0)
         assert cw.evaluate_alarms()["memory-pressure"] is AlarmState.ALARM
 
-        buf.free()
+        memory.free(ballast)
         reg2 = MetricsRegistry()
         record_device_memory(reg2, system1)
         reg2.publish_cloudwatch(cw, dimension="i-1", timestamp_h=2.0)
@@ -256,7 +261,6 @@ class TestExemplars:
                                      (30.0, "e")]
 
     def test_retention_is_observation_order_independent(self):
-        import random
         pairs = [(float(v), f"{i:04d}") for i, v in
                  enumerate(random.Random(5).sample(range(500), 100))]
         baseline = None
@@ -289,6 +293,76 @@ class TestExemplars:
         assert h.top_exemplars() == [(9.0, "b"), (6.0, "c")]
 
 
+class TestObserveMany:
+    def test_one_call_records_a_batch(self):
+        h = Histogram("itl", max_exemplars=2)
+        h.observe_many(4.0, ["a", "b", "c"])
+        assert (h.count, h.sum, h.samples) == (3, 12.0, [4.0] * 3)
+        assert h.top_exemplars() == [(4.0, "c"), (4.0, "b")]
+
+    def test_none_labels_record_without_exemplars(self):
+        h = Histogram("itl", max_exemplars=2)
+        h.observe_many(1.0, [None, None])
+        assert h.count == 2 and h.exemplars == []
+
+
+def _reference_observe(ref, value, label):
+    """The one-at-a-time algorithm ``observe_many`` must reproduce:
+    append-then-sort exemplar retention, one reservoir draw per
+    observation past ``max_samples``."""
+    value = float(value)
+    ref["count"] += 1
+    ref["sum"] += value
+    if label is not None and ref["max_exemplars"]:
+        ref["exemplars"].append((value, label))
+        if len(ref["exemplars"]) > ref["max_exemplars"]:
+            ref["exemplars"].sort()
+            del ref["exemplars"][0]
+    cap = ref["max_samples"]
+    if cap is None or len(ref["samples"]) < cap:
+        ref["samples"].append(value)
+        return
+    j = ref["rng"].randrange(ref["count"])
+    if j < cap:
+        ref["samples"][j] = value
+
+
+BATCHES = st.lists(st.tuples(
+    st.sampled_from([0.5, 1.0, 2.0, 7.25]),
+    st.lists(st.none() | st.sampled_from(["a", "b", "c", "d", "e"]),
+             max_size=8)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(max_samples=st.none() | st.integers(1, 8),
+       max_exemplars=st.integers(0, 4), batches=BATCHES)
+def test_observe_many_matches_an_observe_loop(max_samples, max_exemplars,
+                                              batches):
+    """Batched and one-at-a-time observation agree on everything,
+    including the reservoir RNG's state, with caps drawn on both sides
+    of the observation count."""
+    bulk = Histogram("itl", max_samples=max_samples,
+                     max_exemplars=max_exemplars)
+    loop = Histogram("itl", max_samples=max_samples,
+                     max_exemplars=max_exemplars)
+    rng = random.Random()
+    rng.setstate(loop._rng.getstate())
+    ref = {"count": 0, "sum": 0.0, "samples": [], "exemplars": [],
+           "rng": rng, "max_samples": max_samples,
+           "max_exemplars": max_exemplars}
+    for value, labels in batches:
+        bulk.observe_many(value, labels)
+        for label in labels:
+            loop.observe(value, exemplar=label)
+            _reference_observe(ref, value, label)
+    for h in (bulk, loop):
+        assert h.samples == ref["samples"]
+        assert h.top_exemplars() == sorted(ref["exemplars"], reverse=True)
+        assert h.count == ref["count"]
+        assert h.sum == ref["sum"]
+        assert h._rng.getstate() == ref["rng"].getstate()
+
+
 class TestMergedHistograms:
     def _shard(self, values, labels=None, **kwargs):
         h = Histogram("lat", **kwargs)
@@ -304,7 +378,6 @@ class TestMergedHistograms:
         assert merged.sum == pytest.approx(sum(range(300)))
 
     def test_merge_order_does_not_change_percentiles(self):
-        import random
         rng = random.Random(11)
         shards = [self._shard([rng.uniform(0, 100) for _ in range(400)],
                               max_samples=64) for _ in range(4)]
