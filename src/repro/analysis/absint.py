@@ -1280,10 +1280,41 @@ def classify_kernel(kernel) -> KernelClass:
     return result.classes[0]
 
 
+def classify_launch(launch) -> KernelClass | None:
+    """Prove one concrete launch (a :class:`repro.jit.lowering.LaunchSpec`):
+    the kernel in ``launch.source`` is analyzed under exactly its grid,
+    block, array extents and int values (scalar arguments and folded
+    module/closure constants) — the JIT dispatcher's launch-time proof.
+    ``None`` when no kernel is found or the analysis gives up."""
+    from repro.analysis.context import AnalysisContext
+
+    ctx = AnalysisContext(launch.source, filename=launch.filename,
+                          line_offset=launch.line_offset)
+    if ctx.tree is None:
+        return None
+    fn = None
+    helpers = {}
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.FunctionDef):
+            if _is_kernel_def(node, ctx.cuda_names):
+                fn = fn or node
+            else:
+                helpers[node.name] = node
+    if fn is None:
+        return None
+    env = LaunchEnv(
+        block=tuple(launch.block), grid=tuple(launch.grid),
+        scalars={n: Affine.constant(v) for n, v in launch.ints.items()},
+        extents={p: tuple(Affine.constant(d) for d in shape)
+                 for p, shape in launch.shapes.items()})
+    return _analyze_kernel(ctx, fn, helpers, [env], Report())
+
+
 __all__ = [
     "AbsintResult",
     "LaunchEnv",
     "absint_context",
     "absint_source",
     "classify_kernel",
+    "classify_launch",
 ]

@@ -7,16 +7,66 @@ simulated CUDA thread sees the standard intrinsics (:data:`threadIdx`,
 :func:`shared.array <SharedMemory.array>`, :func:`atomic.add
 <AtomicNamespace.add>`).
 
-Two execution strategies, chosen automatically:
+Three execution strategies, chosen per launch:
 
-* **Sequential** (default): threads of a block run one after another.
-  Correct for the overwhelmingly common data-parallel kernels where
-  threads only communicate through *global* memory or not at all.
+* **Lowered** (the default for verified kernels): the dispatcher keys
+  each launch on its signature -- per-argument kind, dtype and shape
+  (int scalars by value), grid, block, and the values of the int/float
+  module or closure constants the body reads.  The first launch of a
+  key runs on the interpreter.  At its second launch the dispatcher
+  proves the kernel with the abstract interpreter against that
+  concrete launch (:meth:`CudaKernel.classify` with a
+  :class:`~repro.jit.lowering.LaunchSpec`), generates a masked-
+  lockstep whole-array numpy function from the kernel's AST
+  (:mod:`repro.jit.lowering`), and caches both on the kernel
+  (:attr:`CudaKernel.variants`, the 16 most recently launched keys).
+  Later launches of the key reuse them.
+* **Sequential**: threads of a block run one after another.  Correct
+  for the data-parallel kernels where threads only communicate
+  through *global* memory or not at all.
 * **Barrier-threaded**: if the kernel's source mentions ``syncthreads``,
   every CUDA thread of a block becomes a real OS thread synchronized on a
   ``threading.Barrier`` — the strategy ``numba.cuda.simulator`` itself
   uses — so producer/consumer shared-memory patterns (tiled matmul,
   block reductions) execute correctly.
+
+A launch runs on the interpreter (sequential or barrier-threaded)
+instead of being lowered when
+
+* it is the first launch of its key;
+* launch instrumentation is attached (the sanitizer's race detector
+  always sees the per-thread interpreter);
+* numpy is older than 2.0 (its value-based promotion of Python
+  scalars is not what the lowering reproduces), or numpy's error mode
+  is ``raise``, ``call``, ``print`` or ``log`` for some category;
+* an argument is neither a numpy/device array nor a number, or the
+  kernel's source cannot be retrieved, or it no longer compiles to the
+  bytecode the kernel runs (the file changed after import);
+* the proof does not return a vectorizable class (elementwise,
+  stencil, reduction, tiled-matmul) that is ``verified``: OOB
+  ``proven_safe``, no divergent barrier, no shared-memory race;
+* the body uses anything outside the lowered subset: atomics,
+  ``cuda.local.array``, calls other than the thread-index intrinsics,
+  ``syncthreads`` and ``range``, a loop whose bounds vary across
+  threads, ``break``/``continue``, a barrier or a shared allocation
+  off the straight-line path, a global array written at a thread-
+  uniform subscript or read at a subscript other than the one it is
+  written at, an early ``return`` inside a loop or a varying branch;
+* the lowered run detects, as it goes, two threads touching one cell
+  of a written global array, a shared-memory race within a barrier
+  interval, or anything else the interpreter would do differently: a
+  Python division by zero, int arithmetic whose result could wrap
+  (Python ints never do; numpy int scalars warn), a Python int too
+  large to convert to float exactly, a floating-point error numpy
+  would warn about, a shared index out of range, an exception.  The
+  written arrays are restored and the launch reruns on the
+  interpreter, which prints any warning; the key then stays on the
+  interpreter;
+* two array arguments share memory with a written one.
+
+All three strategies share argument marshalling, host write-back and
+charging, so simulated kernel time, ``launch_count``, performance
+warnings and every output byte are the same whichever one runs.
 
 Launches are *costed* via the roofline model: the decorator's
 ``flops_per_thread`` / ``bytes_per_thread`` hints (or conservative
@@ -36,6 +86,7 @@ from repro.errors import DeviceError
 from repro.gpu.device import VirtualGpu
 from repro.gpu.kernelmodel import KernelCost, normalize_launch
 from repro.gpu.system import current_device
+from repro.jit import lowering
 from repro.xp.ndarray import ndarray as XpArray
 
 
@@ -317,6 +368,12 @@ def device_array(shape, dtype=np.float32, device: VirtualGpu | None = None) -> X
 # The kernel object and launcher
 # ---------------------------------------------------------------------------
 
+#: the dispatch cache entry of a signature launched once so far
+_FIRST_LAUNCH = lowering.Variant(reason="first launch: interpreted")
+#: signatures a kernel's dispatch cache holds (least recent evicted)
+_MAX_SIGNATURES = 16
+
+
 class CudaKernel:
     """A compiled (simulated) CUDA kernel.
 
@@ -339,6 +396,9 @@ class CudaKernel:
         self.uses_syncthreads = "syncthreads" in fn.__code__.co_names
         self.launch_count = 0
         self.performance_warnings: list[str] = []
+        #: launch signature -> lowering.Variant (proof verdict + code)
+        self.variants: dict = {}
+        self._dispatch_lock = threading.Lock()
 
     def __getitem__(self, launch_config) -> "_Launcher":
         if not isinstance(launch_config, tuple) \
@@ -357,21 +417,42 @@ class CudaKernel:
             f"{self.name}[grid, block](...), not called directly"
         )
 
-    def classify(self):
-        """Statically classify this kernel for the JIT roadmap.
+    def classify(self, launch=None):
+        """Classify this kernel with the abstract interpreter.
 
-        Runs the abstract interpreter
-        (:func:`repro.analysis.absint.classify_kernel`) over the
-        kernel's source and returns its
-        :class:`~repro.analysis.kernelclass.KernelClass` — the
-        vectorizability archetype, per-array access footprints, and
-        OOB/barrier verdicts a lowering pass must respect.  Extents
-        are anonymous (no launch site is visible from here), so bound
-        guards still prove safety but launch-dependent bounds report
-        ``unknown``.
+        Returns the :class:`~repro.analysis.kernelclass.KernelClass` —
+        the vectorizability archetype, per-array access footprints,
+        and OOB/barrier verdicts a lowering pass must respect.  With no
+        ``launch`` (:func:`repro.analysis.absint.classify_kernel`)
+        extents are anonymous, so bound guards still prove safety but
+        launch-dependent bounds report ``unknown``.  With a
+        :class:`~repro.jit.lowering.LaunchSpec` the proof runs against
+        that launch's concrete grid, block, array extents and int
+        values (:func:`repro.analysis.absint.classify_launch`): the
+        dispatcher's launch-time proof.
         """
-        from repro.analysis.absint import classify_kernel
-        return classify_kernel(self)
+        if launch is None:
+            from repro.analysis.absint import classify_kernel
+            return classify_kernel(self)
+        from repro.analysis.absint import classify_launch
+        return classify_launch(launch)
+
+    def _run_lowered(self, run_args, grid: tuple, block: tuple) -> bool:
+        """Run one launch through the dispatch cache; False means the
+        interpreter must run it.  A signature is proven and lowered at
+        its second launch, so one-shot launches never pay for it; the
+        cache keeps the most recently launched signatures."""
+        key = lowering.signature(self.fn, run_args, grid, block)
+        with self._dispatch_lock:
+            variant = self.variants.pop(key, None)
+            if variant is None:
+                variant = _FIRST_LAUNCH
+            elif variant is _FIRST_LAUNCH:
+                variant = lowering.specialize(self, run_args, grid, block)
+            self.variants[key] = variant
+            if len(self.variants) > _MAX_SIGNATURES:
+                del self.variants[next(iter(self.variants))]
+        return variant.run(run_args)
 
 
 class _Launcher:
@@ -391,7 +472,10 @@ class _Launcher:
             _instrumentation.begin_launch(self.kernel.name)
         run_args, writeback, traffic_bytes, buffers = \
             self._prepare_args(args, device)
-        self._execute(run_args)
+        if _instrumentation is not None \
+                or not self.kernel._run_lowered(run_args, self.grid3,
+                                                self.block3):
+            self._execute(run_args)
         self._writeback(writeback, device)
         self._charge(device, traffic_bytes, buffers)
 
