@@ -70,7 +70,7 @@ from repro.analysis.kernelclass import (
     classify,
 )
 from repro.analysis.rules import make_finding
-from repro.sanitize.astlint import _is_kernel_def, _KernelLinter
+from repro.sanitize.astlint import _is_kernel_def
 from repro.sanitize.findings import Report
 
 _THREAD_VARYING = (T_THREAD, T_GLOBAL)
@@ -251,7 +251,7 @@ def _scan_launches(ctx, kernels: dict) -> dict:
     """Find every ``kern[grid, block](args)`` launch in the file and
     derive a :class:`LaunchEnv` per site from the host-side context."""
     envs: dict = {name: [] for name in kernels}
-    for _scope, body in scopes(ctx.tree):
+    for _scope, body in scopes(ctx):
         assigns: dict = {}
 
         def visit(stmts):
@@ -1089,37 +1089,40 @@ class AbsintResult:
     classes: list = field(default_factory=list)
 
 
+def _kernel_defs(ctx) -> tuple[list, dict]:
+    """The file's ``@cuda.jit`` definitions in BFS order, and its other
+    functions by name (the last definition of a name wins)."""
+    defs, helpers = [], {}
+    for node in ctx.nodes_of(ast.FunctionDef):
+        if _is_kernel_def(node, ctx.cuda_names):
+            defs.append(node)
+        else:
+            helpers[node.name] = node
+    return defs, helpers
+
+
 def absint_context(ctx) -> AbsintResult:
     """Run the abstract interpreter over every kernel in one shared
     :class:`~repro.analysis.context.AnalysisContext` (cached there —
     the ``kernel`` and ``absint`` families and the classifier share one
     run)."""
-    cached = getattr(ctx, "_absint_result", None)
-    if cached is not None:
-        return cached
+    return ctx.memo(AbsintResult, lambda: _absint(ctx))
+
+
+def _absint(ctx) -> AbsintResult:
     result = AbsintResult()
-    if ctx.tree is not None:
-        kernels = {}        # name -> first def: launch sites bind to it
-        defs = []
-        helpers = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef):
-                if _is_kernel_def(node, ctx.cuda_names):
-                    kernels.setdefault(node.name, node)
-                    defs.append(node)
-                else:
-                    helpers[node.name] = node
-        if kernels:
-            launches = _scan_launches(ctx, kernels)
-            # a later def reusing a kernel's name cannot be told apart
-            # at a launch site, so it is analyzed without a launch env
-            for fn in sorted(defs, key=lambda d: (d.name, d.lineno)):
-                envs = launches.get(fn.name, ()) \
-                    if kernels[fn.name] is fn else ()
-                kc = _analyze_kernel(ctx, fn, helpers, envs, result.report)
-                if kc is not None:
-                    result.classes.append(kc)
-    ctx._absint_result = result
+    defs, helpers = _kernel_defs(ctx)
+    kernels = {}        # name -> first def: launch sites bind to it
+    for fn in defs:
+        kernels.setdefault(fn.name, fn)
+    launches = _scan_launches(ctx, kernels) if kernels else {}
+    # a later def reusing a kernel's name cannot be told apart at a
+    # launch site, so it is analyzed without a launch env
+    for fn in sorted(defs, key=lambda d: (d.name, d.lineno)):
+        envs = launches.get(fn.name, ()) if kernels[fn.name] is fn else ()
+        kc = _analyze_kernel(ctx, fn, helpers, envs, result.report)
+        if kc is not None:
+            result.classes.append(kc)
     return result
 
 
@@ -1198,10 +1201,8 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
             facts.block_indexed_writes += 1
     facts.shared = set(interp.shared)
     facts.has_mac_loop = _has_mac_loop(fn)
-    facts.races = sum(
-        1 for f in _KernelLinter(fn, ctx.cuda_names,
-                                 ctx.filename).run().findings
-        if f.rule == "SAN-SHARED-RACE")
+    facts.races = sum(1 for f in ctx.kernel_lint(fn)
+                      if f.rule == "SAN-SHARED-RACE")
     kc = classify(facts)
     report.add(class_finding(kc))
     return kc
@@ -1292,16 +1293,10 @@ def classify_launch(launch) -> KernelClass | None:
                           line_offset=launch.line_offset)
     if ctx.tree is None:
         return None
-    fn = None
-    helpers = {}
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.FunctionDef):
-            if _is_kernel_def(node, ctx.cuda_names):
-                fn = fn or node
-            else:
-                helpers[node.name] = node
-    if fn is None:
+    defs, helpers = _kernel_defs(ctx)
+    if not defs:
         return None
+    fn = defs[0]
     env = LaunchEnv(
         block=tuple(launch.block), grid=tuple(launch.grid),
         scalars={n: Affine.constant(v) for n, v in launch.ints.items()},

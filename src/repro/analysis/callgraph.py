@@ -30,6 +30,7 @@ fixpoint.
 from __future__ import annotations
 
 import ast
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -39,23 +40,10 @@ from repro.analysis.context import AnalysisContext
 MODULE_SCOPE = "<module>"
 
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _loop_bound_names(loop: ast.stmt) -> frozenset:
-    """Every name the loop (re)binds: targets plus stores in the body
-    (mirrors ``perfpass._bound_names`` so caller-side loop-invariance
-    agrees with the intra-procedural PERF pass)."""
-    bound: set[str] = set()
-    nodes: list[ast.AST] = list(getattr(loop, "body", ()))
-    nodes.extend(getattr(loop, "orelse", ()))
-    target = getattr(loop, "target", None)
-    if target is not None:
-        nodes.append(target)
-    for node in nodes:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                bound.add(n.id)
-    return frozenset(bound)
+#: nodes the call scan does not descend into: scopes of their own, and
+#: leaves that hold no call
+_NO_CALL_SITES = (*_FUNC_TYPES, ast.ClassDef, ast.Lambda, ast.Name,
+                  ast.Constant)
 
 
 def module_name_for(filename: str) -> str:
@@ -305,6 +293,9 @@ class _FileScanner:
         self.ctx = ctx
         self.graph = graph
         self.module = module_name_for(ctx.filename)
+        # a statement none of whose lines starts a call has no call
+        # site, so the scan skips it without walking it
+        self._call_lines = sorted({c.lineno for c in ctx.nodes_of(ast.Call)})
         from repro.sanitize.astlint import _is_kernel_def
         self._is_kernel_def = _is_kernel_def
         # pending call sites: (scope fid, call node, scope-local bindings,
@@ -356,16 +347,8 @@ class _FileScanner:
                                    class_name=stmt.name)
             elif isinstance(stmt, (ast.If, ast.Try,
                                    getattr(ast, "TryStar", ast.Try))):
-                for body in self._compound_bodies(stmt):
+                for body in self._stmt_bodies(stmt):
                     self._collect_defs(body, prefix, class_name)
-
-    @staticmethod
-    def _compound_bodies(stmt):
-        if isinstance(stmt, ast.If):
-            return [stmt.body, stmt.orelse]
-        bodies = [stmt.body, stmt.orelse, stmt.finalbody]
-        bodies.extend(h.body for h in stmt.handlers)
-        return bodies
 
     # -- pass 2: imports, aliases, and call sites ----------------------
 
@@ -376,26 +359,22 @@ class _FileScanner:
                          class_name=None)
 
     def _scan_imports(self) -> None:
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname \
-                        else alias.name.split(".")[0]
-                    self.module_bindings.setdefault(
-                        bound, _Binding("module", target))
-            elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if node.level:
-                    base = self.module.split(".")
-                    base = base[:len(base) - node.level]
-                    mod = ".".join(base + ([mod] if mod else []))
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
-                    self.module_bindings.setdefault(
-                        bound, _Binding("import", f"{mod}:{alias.name}"))
+        for imp in self.ctx.imports:
+            if not imp.is_from:
+                target = imp.name if imp.asname \
+                    else imp.name.split(".")[0]
+                self.module_bindings.setdefault(
+                    imp.bound, _Binding("module", target))
+                continue
+            if imp.name == "*":
+                continue
+            mod = imp.module
+            if imp.level:
+                base = self.module.split(".")
+                base = base[:len(base) - imp.level]
+                mod = ".".join(base + ([mod] if mod else []))
+            self.module_bindings.setdefault(
+                imp.bound, _Binding("import", f"{mod}:{imp.name}"))
 
     def _scan_scope(self, stmts, scope_fid: str, local: dict,
                     class_name: str | None, loop_depth: int = 0,
@@ -430,9 +409,13 @@ class _FileScanner:
             # defs — those belong to the inner scope)
             is_loop = isinstance(stmt, (ast.For, ast.While, ast.AsyncFor))
             in_loop = loop_depth + (1 if is_loop else 0)
-            in_bound = _loop_bound_names(stmt) if is_loop else loop_bound
-            self._scan_calls(stmt, scope_fid, local, class_name,
-                             loop_depth, loop_bound)
+            in_bound = self.ctx.loop_bound_names(stmt) if is_loop \
+                else loop_bound
+            lines = self._call_lines
+            i = bisect.bisect_left(lines, stmt.lineno)
+            if i < len(lines) and lines[i] <= stmt.end_lineno:
+                self._scan_calls(stmt, scope_fid, local, class_name,
+                                 loop_depth, loop_bound)
             for body in self._stmt_bodies(stmt):
                 self._scan_scope(body, scope_fid, local, class_name,
                                  in_loop, loop_bound=in_bound)
@@ -460,16 +443,18 @@ class _FileScanner:
         top_value = getattr(stmt, "value", None)
         work: list[ast.AST] = []
         for node in ast.iter_child_nodes(stmt):
-            if isinstance(node, (ast.stmt, *_FUNC_TYPES, ast.ClassDef)):
-                continue
-            work.append(node)
+            if not isinstance(node, ast.stmt):
+                work.append(node)
+        snapshot = None
         while work:
             node = work.pop()
-            if isinstance(node, (*_FUNC_TYPES, ast.ClassDef, ast.Lambda)):
+            if isinstance(node, _NO_CALL_SITES):
                 continue
             if isinstance(node, ast.Call):
+                if snapshot is None:
+                    snapshot = dict(local)
                 self.pending.append((
-                    scope_fid, node, dict(local), class_name, loop_depth,
+                    scope_fid, node, snapshot, class_name, loop_depth,
                     loop_bound,
                     bound_to if node is top_value else None,
                     returned and node is top_value))

@@ -215,14 +215,29 @@ def build_cfg(stmts: list[ast.stmt]) -> CFG:
     return _Builder().build(list(stmts))
 
 
-def scopes(tree: ast.AST):
+def scopes(ctx):
     """Yield ``(scope_node, body)`` for the module and every (nested)
-    function definition — the units a per-scope analysis runs over."""
-    if isinstance(tree, ast.Module):
-        yield tree, list(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, SCOPE_TYPES):
-            yield node, list(node.body)
+    function definition of an :class:`AnalysisContext`, in BFS order —
+    the units a per-scope analysis runs over."""
+    yield ctx.tree, list(ctx.tree.body)
+    for node in ctx.nodes_of(*SCOPE_TYPES):
+        yield node, list(node.body)
+
+
+def loop_bound_names(loop: ast.stmt) -> frozenset:
+    """Every name a loop (re)binds: its target plus any store in its
+    body or ``else`` — the loop-invariance test the PERF pass and the
+    call graph's loop sites share."""
+    bound: set[str] = set()
+    nodes: list[ast.AST] = list(loop.body) + list(loop.orelse)
+    target = getattr(loop, "target", None)
+    if target is not None:
+        nodes.append(target)
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                bound.add(n.id)
+    return frozenset(bound)
 
 
 def unrolled_schedule(stmts, loop_passes: int = LOOP_PASSES
@@ -251,6 +266,7 @@ __all__ = [
     "BasicBlock",
     "CFG",
     "build_cfg",
+    "loop_bound_names",
     "scopes",
     "unrolled_schedule",
 ]

@@ -89,7 +89,9 @@ def _walk_scope(node: ast.AST):
 class _Aliases:
     """File-global namespace knowledge shared by all three rules."""
 
-    def __init__(self, import_nodes, np_names: set[str]) -> None:
+    def __init__(self, imports, np_names: set[str]) -> None:
+        """``imports`` is the context's import table
+        (:attr:`AnalysisContext.imports`)."""
         self.time_mods: set[str] = set()
         self.time_funcs: set[str] = set()          # bare from-imports
         self.datetime_mods: set[str] = set()
@@ -98,32 +100,28 @@ class _Aliases:
         self.random_funcs: dict[str, str] = {}     # bare name -> fn
         self.np_random_mods: set[str] = set()      # e.g. `npr` for np.random
         self.np_names = np_names
-        for node in import_nodes:
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    bound = a.asname or a.name.split(".")[0]
-                    if a.name == "time":
-                        self.time_mods.add(bound)
-                    elif a.name == "datetime":
-                        self.datetime_mods.add(bound)
-                    elif a.name == "random":
-                        self.random_mods.add(bound)
-                    elif a.name == "numpy.random" and a.asname:
-                        self.np_random_mods.add(a.asname)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                mod = node.module or ""
-                for a in node.names:
-                    bound = a.asname or a.name
-                    if mod == "time" and a.name in _TIME_FNS:
-                        self.time_funcs.add(bound)
-                    elif mod == "datetime" and a.name in ("datetime",
-                                                          "date"):
-                        self.datetime_classes.add(bound)
-                    elif mod == "random" and a.name in (_STD_RNG_FNS
-                                                        | {"seed"}):
-                        self.random_funcs[bound] = a.name
-                    elif mod == "numpy" and a.name == "random":
-                        self.np_random_mods.add(bound)
+        for imp in imports:
+            bound = imp.bound
+            if not imp.is_from:
+                if imp.name == "time":
+                    self.time_mods.add(bound)
+                elif imp.name == "datetime":
+                    self.datetime_mods.add(bound)
+                elif imp.name == "random":
+                    self.random_mods.add(bound)
+                elif imp.name == "numpy.random" and imp.asname:
+                    self.np_random_mods.add(imp.asname)
+            elif imp.level == 0:
+                mod, name = imp.module, imp.name
+                if mod == "time" and name in _TIME_FNS:
+                    self.time_funcs.add(bound)
+                elif mod == "datetime" and name in ("datetime", "date"):
+                    self.datetime_classes.add(bound)
+                elif mod == "random" and name in (_STD_RNG_FNS
+                                                  | {"seed"}):
+                    self.random_funcs[bound] = name
+                elif mod == "numpy" and name == "random":
+                    self.np_random_mods.add(bound)
 
     # -- classification helpers ----------------------------------------
 
@@ -204,29 +202,22 @@ class _DetPass:
     def __init__(self, ctx: AnalysisContext) -> None:
         self.ctx = ctx
         self.tree = ctx.tree
-        # one walk of the whole tree feeds every file-level gate: the
-        # alias tables, draw/seed presence, and set-construct presence
-        imports: list[ast.stmt] = []
-        calls: list[ast.Call] = []
-        self.has_sets = False
+        # the file-level gates: the alias tables, draw/seed presence,
+        # and set-construct presence
+        calls = ctx.nodes_of(ast.Call)
+        self.has_sets = bool(ctx.nodes_of(ast.Set, ast.SetComp))
         self.has_emitters = False
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                imports.append(node)
-            elif isinstance(node, ast.Call):
-                calls.append(node)
-                func = node.func
-                if isinstance(func, ast.Name):
-                    if func.id in ("set", "frozenset"):
-                        self.has_sets = True
-                    elif func.id in _EMIT_NAMES:
-                        self.has_emitters = True
-                elif isinstance(func, ast.Attribute) \
-                        and func.attr in _EMIT_ATTRS:
+        for node in calls:
+            func = node.func
+            if isinstance(func, ast.Name):
+                if func.id in ("set", "frozenset"):
+                    self.has_sets = True
+                elif func.id in _EMIT_NAMES:
                     self.has_emitters = True
-            elif isinstance(node, (ast.Set, ast.SetComp)):
-                self.has_sets = True
-        self.aliases = _Aliases(imports, ctx.namespaces[2])
+            elif isinstance(func, ast.Attribute) \
+                    and func.attr in _EMIT_ATTRS:
+                self.has_emitters = True
+        self.aliases = _Aliases(ctx.imports, ctx.namespaces[2])
         self.has_draws = any(self.aliases.global_rng_call(c) is not None
                              for c in calls)
         self.has_seeds = self.has_draws and any(
@@ -254,7 +245,7 @@ class _DetPass:
         module_seeded = self._module_seeded_families() \
             if self.has_seeds else frozenset()
         module_env = None
-        for scope, body in scopes(self.tree):
+        for scope, body in scopes(self.ctx):
             is_module = isinstance(scope, ast.Module)
             cfg: CFG | None = None
             if check_clock:

@@ -30,7 +30,6 @@ from pathlib import Path
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.pipeline import fingerprint_report
-from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Finding, Report
 
 #: every family the unified driver can dispatch, in canonical order
@@ -51,10 +50,7 @@ def analyze_context(ctx: AnalysisContext,
     """Run the requested families over one shared context."""
     report = Report()
     if ctx.tree is None:
-        exc = ctx.syntax_error
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {exc.msg}", file=ctx.filename,
-            line=(exc.lineno or 0) + ctx.line_offset))
+        report.add(ctx.syntax_finding())
         return report
     if "kernel" in analyzers:
         from repro.sanitize.astlint import lint_context

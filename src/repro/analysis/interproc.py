@@ -137,13 +137,16 @@ class _InterPass:
     def _check_cost(self, fn: FunctionInfo, site: CallSite,
                     callee: FunctionInfo,
                     summary: FunctionSummary) -> None:
-        from repro.perflint.costpass import PlanSite, check_plan
+        from repro.perflint.costpass import (
+            _SPOT_MARKERS,
+            _TEARDOWN_MARKERS,
+            check_plan,
+        )
 
-        env = file_env(fn.ctx)
-        from repro.perflint.costpass import _SPOT_MARKERS, \
-            _TEARDOWN_MARKERS
-        has_teardown = bool(env.identifiers & _TEARDOWN_MARKERS)
-        has_spot = bool(env.identifiers & _SPOT_MARKERS)
+        if not summary.plans:
+            return
+        has_teardown = bool(fn.ctx.identifiers & _TEARDOWN_MARKERS)
+        has_spot = bool(fn.ctx.identifiers & _SPOT_MARKERS)
         for template in summary.plans.values():
             plan = self._complete_plan(template, site, callee)
             if plan is None:

@@ -52,6 +52,7 @@ from repro.perflint.perfpass import (
     _XP_ALLOCS,
     _XP_TRANSFERS,
     _arg_names,
+    _call_name,
 )
 
 #: call-chain hops are capped so recursive lifting cannot grow paths
@@ -150,27 +151,19 @@ class FunctionSummary:
 
 class FileEnv:
     """File-level alias knowledge every extraction shares, built once
-    per context and cached on it."""
+    per context and kept on it (:func:`file_env`)."""
 
     def __init__(self, ctx: AnalysisContext) -> None:
         tree = ctx.tree
-        imports = [n for n in ast.walk(tree)
-                   if isinstance(n, (ast.Import, ast.ImportFrom))]
-        self.aliases = _Aliases(imports, ctx.namespaces[2])
+        self.aliases = _Aliases(ctx.imports, ctx.namespaces[2])
         self.xp_names = ctx.namespaces[0]
         # families `seed(...)` is called for anywhere in the file — the
         # same file-level gate the intra DET fast path uses
         self.seeded: set[str] = set()
-        self.identifiers: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                fam = self.aliases.seed_call(node)
-                if fam is not None:
-                    self.seeded.add(fam)
-            elif isinstance(node, ast.Name):
-                self.identifiers.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                self.identifiers.add(node.attr)
+        for node in ctx.nodes_of(ast.Call):
+            fam = self.aliases.seed_call(node)
+            if fam is not None:
+                self.seeded.add(fam)
         # names bound at module top level: stable across a caller's
         # loop iterations for the transfer-invariance test
         self.module_names: set[str] = set()
@@ -203,11 +196,7 @@ class FileEnv:
 
 
 def file_env(ctx: AnalysisContext) -> FileEnv:
-    env = getattr(ctx, "_interproc_env", None)
-    if env is None:
-        env = FileEnv(ctx)
-        ctx._interproc_env = env
-    return env
+    return ctx.memo(FileEnv, lambda: FileEnv(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +245,7 @@ def _display(func: ast.AST) -> str:
 
 def _transfer_kind(call: ast.Call, env: FileEnv) -> str | None:
     func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None)
+    name = _call_name(func)
     recv = None
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         recv = func.value.id
@@ -392,9 +380,7 @@ _PLAN_SPECS = {
 
 def _plan_template(call: ast.Call, params: set,
                    file: str) -> PlanTemplate | None:
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None)
+    name = _call_name(call.func)
     spec = _PLAN_SPECS.get(name or "")
     if spec is None:
         return None

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.rules import make_finding
 from repro.memcheck.estimate import (
     Preflight,
     ddp_training_footprint,
@@ -51,15 +50,10 @@ def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
     :class:`repro.analysis.context.AnalysisContext` (no re-parse)."""
     report = Report()
     if ctx.tree is None:
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {ctx.syntax_error.msg}",
-            file=ctx.filename, line=ctx.syntax_error.lineno or 0))
+        report.add(ctx.syntax_finding())
         return report
     if "mem" in analyzers:
-        # the context's dedent preserves line numbers, so noqa comments
-        # still align with the tree
-        report.extend(mem_pass(ctx.tree, ctx.filename,
-                               source=ctx.dedented).findings)
+        report.extend(mem_pass(ctx).findings)
     return report
 
 

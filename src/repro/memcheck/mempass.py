@@ -49,13 +49,13 @@ from repro.memcheck.estimate import (
     usable_gpu_bytes,
 )
 from repro.gpu.memory import DEFAULT_HOST_RAM_BYTES, DEFAULT_RESERVE_FRACTION, format_bytes
-from repro.perflint.costpass import extract_plans
+from repro.perflint.costpass import _literal
+from repro.perflint.perfpass import _call_name
 from repro.perflint.shapes import (
     _UNKNOWN,
     AbstractArray,
     AbstractModule,
     ShapeInterp,
-    _namespace_aliases,
 )
 from repro.sanitize.findings import Report
 
@@ -430,7 +430,7 @@ class MemInterp(ShapeInterp):
 # ---------------------------------------------------------------------------
 
 
-def _device_budget(tree: ast.Module) -> tuple[int, str, object | None]:
+def _device_budget(ctx) -> tuple[int, str, object | None]:
     """Infer the target GPU's memory from the file itself.
 
     Preference order: a literal ``make_system(n, "PART")`` call (the
@@ -440,33 +440,20 @@ def _device_budget(tree: ast.Module) -> tuple[int, str, object | None]:
     target_label, current_instance_or_None)``; ``(0, "", None)`` when
     nothing in the file names a target — no target, no OOM verdict.
     """
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
-        if name != "make_system":
+    for node in ctx.nodes_of(ast.Call):
+        if _call_name(node.func) != "make_system":
             continue
         part = "T4"
         if len(node.args) >= 2:
-            try:
-                lit = ast.literal_eval(node.args[1])
-            except (ValueError, SyntaxError):
+            part = _literal(node.args[1])
+            if not isinstance(part, str):
                 continue               # non-literal part: unknowable
-            if not isinstance(lit, str):
-                continue
-            part = lit
         for kw in node.keywords:
             if kw.arg == "part":
-                try:
-                    lit = ast.literal_eval(kw.value)
-                except (ValueError, SyntaxError):
-                    lit = None
-                if not isinstance(lit, str):
-                    part = None
+                lit = _literal(kw.value)
+                part = lit if isinstance(lit, str) else None
+                if part is None:
                     break
-                part = lit
         if part is None:
             continue
         try:
@@ -474,7 +461,7 @@ def _device_budget(tree: ast.Module) -> tuple[int, str, object | None]:
         except KeyError:
             continue
         return spec.mem_bytes, f"a {spec.name}", None
-    for plan in extract_plans(tree):
+    for plan in ctx.plans:
         try:
             itype = get_instance_type(plan.type_name)
         except CloudError:
@@ -485,10 +472,10 @@ def _device_budget(tree: ast.Module) -> tuple[int, str, object | None]:
     return 0, "", None
 
 
-def _host_ram_bytes(tree: ast.Module) -> int:
+def _host_ram_bytes(ctx) -> int:
     """Host RAM budget for the pinned-memory check: the planned
     instance's RAM when one is named, else the 16 GiB default."""
-    for plan in extract_plans(tree):
+    for plan in ctx.plans:
         try:
             itype = get_instance_type(plan.type_name)
         except CloudError:
@@ -497,8 +484,8 @@ def _host_ram_bytes(tree: ast.Module) -> int:
     return DEFAULT_HOST_RAM_BYTES
 
 
-def _check_peak(interp: MemInterp, tree: ast.Module, filename: str) -> None:
-    budget, label, current = _device_budget(tree)
+def _check_peak(interp: MemInterp, ctx) -> None:
+    budget, label, current = _device_budget(ctx)
     if budget <= 0 or interp.peak_live_bytes <= 0:
         return
     usable = int(budget * (1.0 - DEFAULT_RESERVE_FRACTION))
@@ -521,15 +508,17 @@ def _check_peak(interp: MemInterp, tree: ast.Module, filename: str) -> None:
     interp._emit_mem("MEM-PEAK-OOM", msg, interp.peak_line or 1)
 
 
-def mem_pass(tree: ast.Module, filename: str, source: str = "") -> Report:
-    """Run the device-memory liveness pass over a parsed module."""
+def mem_pass(ctx) -> Report:
+    """Run the device-memory liveness pass over one
+    :class:`~repro.analysis.context.AnalysisContext` (its dedent keeps
+    line numbers, so ``# noqa`` comments still align with the tree)."""
     report = Report()
-    xp, nn, np_names = _namespace_aliases(tree)
-    interp = MemInterp(filename, report, xp, nn, np_names,
-                       suppressed=_suppressions(source),
-                       host_ram_bytes=_host_ram_bytes(tree))
-    interp.run(list(tree.body))
-    _check_peak(interp, tree, filename)
+    xp, nn, np_names = ctx.namespaces
+    interp = MemInterp(ctx.filename, report, xp, nn, np_names,
+                       suppressed=_suppressions(ctx.dedented),
+                       host_ram_bytes=_host_ram_bytes(ctx))
+    interp.run(list(ctx.tree.body))
+    _check_peak(interp, ctx)
     return report
 
 

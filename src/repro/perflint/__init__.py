@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.rules import make_finding
 from repro.perflint.costpass import (
     LAB_COST_ENVELOPE_USD,
     PlanSite,
@@ -58,20 +57,16 @@ def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
     """Run the requested perflint passes over one shared
     :class:`repro.analysis.context.AnalysisContext` (no re-parse)."""
     report = Report()
-    filename = ctx.filename
     if ctx.tree is None:
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {ctx.syntax_error.msg}",
-            file=filename, line=ctx.syntax_error.lineno or 0))
+        report.add(ctx.syntax_finding())
         return report
-    tree = ctx.tree
     if "perf" in analyzers:
-        report.extend(perf_pass(tree, filename).findings)
-        report.extend(shape_pass(tree, filename).findings)
+        report.extend(perf_pass(ctx).findings)
+        report.extend(shape_pass(ctx).findings)
     if "cost" in analyzers:
-        report.extend(cost_pass(tree, filename).findings)
+        report.extend(cost_pass(ctx).findings)
     if "iam" in analyzers:
-        report.extend(iam_pass(tree, filename).findings)
+        report.extend(iam_pass(ctx).findings)
     return report
 
 

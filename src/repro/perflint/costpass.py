@@ -36,6 +36,7 @@ from repro.cloud.bootstrap import BootstrapScript
 from repro.cloud.pricing import get_instance_type, plan_cost
 from repro.datasets.aws_usage import AWS_USAGE_TARGETS, COST_BAND_USD
 from repro.errors import CloudError
+from repro.perflint.perfpass import _call_name
 from repro.sanitize.findings import Report
 
 # Fig 5 envelope: $60/student/semester over the smaller lab count (12)
@@ -93,45 +94,20 @@ def _literal(node: ast.AST) -> object:
         return None
 
 
-def _identifiers(tree: ast.Module) -> set[str]:
-    """Every Name id and Attribute attr in the module (context markers)."""
-    out: set[str] = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-    return out
-
-
-def extract_plans(tree: ast.Module) -> list[PlanSite]:
-    """Pull every literal-arg launch plan out of a parsed module.
-
-    Pure in the tree, so the result is memoized on the node itself —
-    the cost, IAM, and memcheck passes all ask for the same plans and
-    the unified driver hands them one shared tree.
-    """
-    cached = getattr(tree, "_repro_plan_sites", None)
-    if cached is not None:
-        return cached
+def extract_plans(ctx) -> list[PlanSite]:
+    """Pull every literal-arg launch plan out of one context (the cost,
+    IAM and memory passes read it once per file as ``ctx.plans``)."""
+    calls = ctx.nodes_of(ast.Call)
     plans: list[PlanSite] = []
     owner = "student"
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
+    for node in calls:
+        name = _call_name(node.func)
         if name == "register_student" and node.args:
             lit = _literal(node.args[0])
             if isinstance(lit, str):
                 owner = lit
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
+    for node in calls:
+        name = _call_name(node.func)
         if name == "BootstrapScript":
             kwargs = {}
             unknowable = any(kw.arg is None for kw in node.keywords)
@@ -213,10 +189,6 @@ def extract_plans(tree: ast.Module) -> list[PlanSite]:
                 kind="notebook", type_name=type_name, count=1,
                 expected_hours=BootstrapScript.expected_hours,
                 line=node.lineno, owner=owner))
-    try:
-        tree._repro_plan_sites = plans
-    except (AttributeError, TypeError):  # pragma: no cover - exotic tree
-        pass
     return plans
 
 
@@ -262,17 +234,18 @@ def check_plan(plan: PlanSite, *, has_teardown: bool, has_spot: bool,
     return report
 
 
-def cost_pass(tree: ast.Module, filename: str) -> Report:
-    """Run the COST-* plan checks over a parsed module."""
+def cost_pass(ctx) -> Report:
+    """Run the COST-* plan checks over one
+    :class:`~repro.analysis.context.AnalysisContext`."""
     report = Report()
-    plans = extract_plans(tree)
+    plans = ctx.plans
     if not plans:
         return report
-    idents = _identifiers(tree)
+    idents = ctx.identifiers
     has_teardown = bool(idents & _TEARDOWN_MARKERS)
     has_spot = bool(idents & _SPOT_MARKERS)
     for plan in plans:
         report.extend(check_plan(plan, has_teardown=has_teardown,
                                  has_spot=has_spot,
-                                 filename=filename).findings)
+                                 filename=ctx.filename).findings)
     return report

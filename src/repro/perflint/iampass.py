@@ -36,25 +36,11 @@ from repro.cloud.iam import (
     simulate_policy,
     student_role,
 )
-from repro.perflint.costpass import extract_plans
+from repro.perflint.costpass import _literal
+from repro.perflint.perfpass import _call_name
 from repro.sanitize.findings import Report
 
 _READONLY_VERBS = ("Describe", "Get", "List", "Head")
-
-
-def _literal(node: ast.AST) -> object:
-    try:
-        return ast.literal_eval(node)
-    except (ValueError, SyntaxError):
-        return None
-
-
-def _call_name(func: ast.AST) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _build_statement(node: ast.Call) -> Statement | None:
@@ -139,14 +125,14 @@ class _RoleCollector(ast.NodeVisitor):
         return None
 
 
-def extract_roles(tree: ast.Module) -> list[tuple[Role, int]]:
+def extract_roles(ctx) -> list[tuple[Role, int]]:
     """Every IAM policy the module constructs, with its source line.
 
     Duplicate role constructions (e.g. a factory called once per student
     in a loop) collapse to the first occurrence by role name.
     """
     collector = _RoleCollector()
-    collector.visit(tree)
+    collector.visit(ctx.tree)
     seen: set[str] = set()
     out: list[tuple[Role, int]] = []
     for role, line in collector.roles:
@@ -195,11 +181,14 @@ def diff_plan_against_role(needed: list[tuple[str, str]], role: Role,
     return report
 
 
-def iam_pass(tree: ast.Module, filename: str) -> Report:
-    """Run the IAM-* least-privilege diff over a parsed module."""
-    plans = extract_plans(tree)
-    roles = extract_roles(tree)
-    if not plans or not roles:
+def iam_pass(ctx) -> Report:
+    """Run the IAM-* least-privilege diff over one
+    :class:`~repro.analysis.context.AnalysisContext`."""
+    plans = ctx.plans
+    if not plans:
+        return Report()
+    roles = extract_roles(ctx)
+    if not roles:
         return Report()
     report = Report()
     for plan in plans:
@@ -212,5 +201,6 @@ def iam_pass(tree: ast.Module, filename: str) -> Report:
                                               resource=r)[a])
         best_role, best_line = min(roles, key=denials)
         report.extend(diff_plan_against_role(
-            needed, best_role, filename=filename, line=plan.line).findings)
+            needed, best_role, filename=ctx.filename,
+            line=plan.line).findings)
     return report

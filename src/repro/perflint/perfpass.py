@@ -49,22 +49,6 @@ _STREAM_MAKERS = {"stream", "create_stream", "event", "Event"}
 _PER_TENSOR = set(PERFLINT_PER_TENSOR) - set(PERFLINT_FUSED)
 
 
-def _xp_aliases(tree: ast.Module) -> set[str]:
-    """Names bound to the ``repro.xp`` (or ``cupy``-like) namespace."""
-    names = {"xp", "cp", "cupy"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in ("repro.xp", "cupy") and alias.asname:
-                    names.add(alias.asname)
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "repro":
-                for alias in node.names:
-                    if alias.name == "xp":
-                        names.add(alias.asname or alias.name)
-    return names
-
-
 def _call_name(func: ast.AST) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
@@ -88,26 +72,14 @@ def _arg_names(call: ast.Call) -> set[str]:
     return names
 
 
-def _bound_names(loop: ast.For | ast.While) -> set[str]:
-    """Every name the loop (re)binds: targets plus any store in the body."""
-    bound: set[str] = set()
-    nodes: list[ast.AST] = list(loop.body) + list(loop.orelse)
-    if isinstance(loop, ast.For):
-        nodes.append(loop.target)
-    for node in nodes:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                bound.add(n.id)
-    return bound
-
-
 class PerfPass(ast.NodeVisitor):
     """One file's PERF-* walk (module scope + every function body)."""
 
-    def __init__(self, tree: ast.Module, filename: str) -> None:
-        self.tree = tree
-        self.filename = filename
-        self.xp_names = _xp_aliases(tree)
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self.tree = ctx.tree
+        self.filename = ctx.filename
+        self.xp_names = ctx.xp_receivers
         self.report = Report()
         self._loops: list[dict] = []      # {bound: set, targets: set}
         self._stream_names: set[str] = set()
@@ -146,7 +118,8 @@ class PerfPass(ast.NodeVisitor):
             self.visit(node.iter)
         else:
             self.visit(node.test)
-        self._loops.append({"bound": _bound_names(node), "targets": targets})
+        self._loops.append({"bound": self.ctx.loop_bound_names(node),
+                            "targets": targets})
         for stmt in list(node.body) + list(node.orelse):
             self.visit(stmt)
         self._loops.pop()
@@ -210,6 +183,7 @@ class PerfPass(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def perf_pass(tree: ast.Module, filename: str) -> Report:
-    """Run the PERF-* loop/dataflow rules over a parsed module."""
-    return PerfPass(tree, filename).run()
+def perf_pass(ctx) -> Report:
+    """Run the PERF-* loop/dataflow rules over one
+    :class:`~repro.analysis.context.AnalysisContext`."""
+    return PerfPass(ctx).run()

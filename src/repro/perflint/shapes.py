@@ -549,36 +549,11 @@ class ShapeInterp:
 # -- module-level entry -----------------------------------------------------
 
 
-def _namespace_aliases(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
-    """(xp-like, nn-related, numpy) names bound by the module's imports."""
-    xp, nn, np_names = {"xp"}, set(), {"np", "numpy"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if alias.name in ("repro.xp", "cupy"):
-                    xp.add(alias.asname or "xp")
-                elif alias.name == "numpy":
-                    np_names.add(bound)
-                elif alias.name == "repro.nn":
-                    nn.add(alias.asname or "nn")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "repro":
-                for alias in node.names:
-                    if alias.name == "xp":
-                        xp.add(alias.asname or alias.name)
-                    elif alias.name == "nn":
-                        nn.add(alias.asname or alias.name)
-            elif node.module in ("repro.nn", "repro.nn.layers"):
-                for alias in node.names:
-                    nn.add(alias.asname or alias.name)
-    return xp, nn, np_names
-
-
-def shape_pass(tree: ast.Module, filename: str) -> Report:
-    """Run the abstract shape/dtype interpreter over a parsed module."""
+def shape_pass(ctx) -> Report:
+    """Run the abstract shape/dtype interpreter over one
+    :class:`~repro.analysis.context.AnalysisContext`."""
     report = Report()
-    xp, nn, np_names = _namespace_aliases(tree)
-    interp = ShapeInterp(filename, report, xp, nn, np_names)
-    interp.run(list(tree.body))
+    xp, nn, np_names = ctx.namespaces
+    interp = ShapeInterp(ctx.filename, report, xp, nn, np_names)
+    interp.run(list(ctx.tree.body))
     return report

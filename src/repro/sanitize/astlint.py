@@ -400,21 +400,6 @@ class _StreamScan:
 
 # -- entry points -----------------------------------------------------------
 
-def _cuda_aliases(tree: ast.Module) -> set[str]:
-    """Names the module binds to a cuda-like namespace (default: cuda)."""
-    names = {"cuda"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name == "cuda":
-                    names.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.endswith(".cuda") and alias.asname:
-                    names.add(alias.asname)
-    return names
-
-
 def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
     for dec in fn.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -428,32 +413,33 @@ def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
     shared :class:`repro.analysis.context.AnalysisContext` — the parse
-    already happened; this pass only walks the tree.  SAN-OOB and
-    SAN-BARRIER-DIV are the abstract interpreter's proofs (cached on
-    the context, so the ``absint`` family reuses the same run)."""
+    and the walk already happened; this pass reads the context's index.
+    SAN-OOB and SAN-BARRIER-DIV are the abstract interpreter's proofs
+    (cached on the context, so the ``absint`` family reuses the same
+    run)."""
     from repro.analysis.absint import absint_context
 
     report = Report()
     filename = ctx.filename
     if ctx.tree is None:
-        exc = ctx.syntax_error
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {exc.msg}", file=filename,
-            line=(exc.lineno or 0) + ctx.line_offset))
+        report.add(ctx.syntax_finding())
         return report
-    tree = ctx.tree
     cuda_names = ctx.cuda_names
+    # a stream hazard needs a launch (`kern[grid, block, stream](...)`),
+    # so a file without one has nothing for the stream scan to find
+    scan_streams = any(isinstance(call.func, ast.Subscript)
+                       for call in ctx.nodes_of(ast.Call))
     has_kernels = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            if _is_kernel_def(node, cuda_names):
-                has_kernels = True
-                report.extend(
-                    _KernelLinter(node, cuda_names, filename).run().findings)
-            else:
-                report.extend(
-                    _StreamScan(cuda_names, filename).scan(node.body).findings)
-    report.extend(_StreamScan(cuda_names, filename).scan(tree.body).findings)
+    for node in ctx.nodes_of(ast.FunctionDef):
+        if _is_kernel_def(node, cuda_names):
+            has_kernels = True
+            report.extend(ctx.kernel_lint(node))
+        elif scan_streams:
+            report.extend(
+                _StreamScan(cuda_names, filename).scan(node.body).findings)
+    if scan_streams:
+        report.extend(
+            _StreamScan(cuda_names, filename).scan(ctx.tree.body).findings)
     if has_kernels:
         report.extend(f for f in absint_context(ctx).report.findings
                       if f.rule.startswith("SAN-"))

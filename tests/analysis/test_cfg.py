@@ -3,6 +3,7 @@
 import ast
 import textwrap
 
+from repro.analysis import AnalysisContext
 from repro.analysis.cfg import (
     LOOP_PASSES,
     build_cfg,
@@ -128,7 +129,7 @@ class TestReachability:
 
 class TestScopes:
     def test_module_then_each_function(self):
-        tree = _parse("""
+        ctx = AnalysisContext("""
             x = 1
             def outer():
                 def inner():
@@ -136,7 +137,7 @@ class TestScopes:
             async def aio():
                 pass
         """)
-        found = list(scopes(tree))
+        found = list(scopes(ctx))
         names = [getattr(node, "name", "<module>") for node, _ in found]
         assert names[0] == "<module>"
         assert set(names[1:]) == {"outer", "inner", "aio"}

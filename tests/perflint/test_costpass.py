@@ -1,14 +1,13 @@
 """COST-* pre-flight estimation: extraction, exact pricing, the checks."""
 
-import ast
-
+from repro.analysis import AnalysisContext
 from repro.cloud.pricing import plan_cost, plan_rate
 from repro.perflint import LAB_COST_ENVELOPE_USD
 from repro.perflint.costpass import PlanSite, check_plan, cost_pass, extract_plans
 
 
 def _rules(source: str) -> dict[str, list[int]]:
-    report = cost_pass(ast.parse(source), "lab.py")
+    report = cost_pass(AnalysisContext(source, "lab.py"))
     out: dict[str, list[int]] = {}
     for f in report.findings:
         out.setdefault(f.rule, []).append(f.line)
@@ -17,7 +16,7 @@ def _rules(source: str) -> dict[str, list[int]]:
 
 class TestExtraction:
     def test_bootstrap_literals_extracted(self):
-        (plan,) = extract_plans(ast.parse('''\
+        (plan,) = extract_plans(AnalysisContext('''\
 from repro.cloud import BootstrapScript
 
 cloud.register_student("ada")
@@ -32,20 +31,20 @@ plan = BootstrapScript(instance_type="p3.8xlarge", instance_count=2,
         assert plan.line == 4
 
     def test_positional_args_extracted(self):
-        (plan,) = extract_plans(ast.parse(
+        (plan,) = extract_plans(AnalysisContext(
             'plan = BootstrapScript("g4dn.xlarge", 3)\n'))
         assert (plan.type_name, plan.count) == ("g4dn.xlarge", 3)
 
     def test_non_literal_instance_type_is_skipped_not_guessed(self):
         # the pass must not fall back to defaults when the SKU is
         # unknowable (this is what keeps costpass.py itself lint-clean)
-        assert extract_plans(ast.parse(
+        assert extract_plans(AnalysisContext(
             "plan = BootstrapScript(instance_type=cfg.sku)\n")) == []
-        assert extract_plans(ast.parse(
+        assert extract_plans(AnalysisContext(
             "plan = BootstrapScript(**kwargs)\n")) == []
 
     def test_notebook_call_extracted_with_default_type(self):
-        (plan,) = extract_plans(ast.parse(
+        (plan,) = extract_plans(AnalysisContext(
             'nb = cloud.sagemaker.create_notebook_instance("ada")\n'))
         assert plan.kind == "notebook"
         assert plan.type_name == "ml.t3.medium"
@@ -57,10 +56,10 @@ class TestExactPricing:
         # 2x p3.8xlarge at the catalog rate for 10 h
         expected = plan_cost("p3.8xlarge", 10.0, 2)
         assert expected == 2 * plan_rate("p3.8xlarge") * 10.0
-        report = cost_pass(ast.parse('''\
+        report = cost_pass(AnalysisContext('''\
 plan = BootstrapScript(instance_type="p3.8xlarge", instance_count=2,
                        expected_hours=10.0)
-'''), "lab.py")
+''', "lab.py"))
         cap = [f for f in report.findings if f.rule == "COST-BUDGET-CAP"]
         assert len(cap) == 1
         assert f"${expected:.2f}" in cap[0].message
@@ -145,7 +144,7 @@ plan.teardown()
 
 class TestEndpointPlans:
     def test_endpoint_extracted_and_priced_at_peak(self):
-        (plan,) = extract_plans(ast.parse('''\
+        (plan,) = extract_plans(AnalysisContext('''\
 cfg = EndpointConfig(name="rag-ep", instance_type="g5.xlarge",
                      initial_replicas=1, max_replicas=3,
                      expected_hours=2.0)
@@ -156,17 +155,17 @@ cfg = EndpointConfig(name="rag-ep", instance_type="g5.xlarge",
         assert plan.expected_hours == 2.0
 
     def test_endpoint_defaults_fill_missing_fields(self):
-        (plan,) = extract_plans(ast.parse(
+        (plan,) = extract_plans(AnalysisContext(
             'cfg = EndpointConfig(name="ep")\n'))
         assert plan.type_name == "g5.xlarge"
         assert plan.count == 4
         assert plan.expected_hours == 1.0
 
     def test_non_literal_endpoint_sku_is_skipped(self):
-        assert extract_plans(ast.parse(
+        assert extract_plans(AnalysisContext(
             'cfg = EndpointConfig(name="ep", instance_type=args.sku)\n'
         )) == []
-        assert extract_plans(ast.parse(
+        assert extract_plans(AnalysisContext(
             'cfg = EndpointConfig(**kwargs)\n')) == []
 
     def test_peak_fleet_over_budget_cap_fires(self):

@@ -1,7 +1,6 @@
 """IAM-* least-privilege diff: under-grants, over-grants, role choice."""
 
-import ast
-
+from repro.analysis import AnalysisContext
 from repro.cloud.iam import Role, Statement
 from repro.perflint.iampass import (
     diff_plan_against_role,
@@ -11,7 +10,7 @@ from repro.perflint.iampass import (
 
 
 def _rules(source: str) -> dict[str, list[str]]:
-    report = iam_pass(ast.parse(source), "lab.py")
+    report = iam_pass(AnalysisContext(source, "lab.py"))
     out: dict[str, list[str]] = {}
     for f in report.findings:
         out.setdefault(f.rule, []).append(f.message)
@@ -23,7 +22,7 @@ PLAN = 'plan = BootstrapScript(instance_type="g4dn.xlarge")\n'
 
 class TestRoleExtraction:
     def test_literal_role_and_statements(self):
-        ((role, line),) = extract_roles(ast.parse('''\
+        ((role, line),) = extract_roles(AnalysisContext('''\
 from repro.cloud import Role, Statement
 
 role = Role(name="lab", statements=[
@@ -39,7 +38,7 @@ role = Role(name="lab", statements=[
     def test_factories_and_attach(self):
         roles = dict(
             (r.name, r)
-            for r, _ in extract_roles(ast.parse('''\
+            for r, _ in extract_roles(AnalysisContext('''\
 creds = cloud.register_student("ada")
 admin = instructor_role()
 admin.attach(Statement("Deny", ("ec2:TerminateInstances",)))
@@ -48,7 +47,7 @@ admin.attach(Statement("Deny", ("ec2:TerminateInstances",)))
         assert roles["instructor"].statements[-1].effect == "Deny"
 
     def test_duplicate_factory_calls_collapse(self):
-        roles = extract_roles(ast.parse('''\
+        roles = extract_roles(AnalysisContext('''\
 for name in roster:
     cloud.register_student("ada")
     cloud.register_student("ada")

@@ -1,13 +1,12 @@
 """PERF-* loop/dataflow rules: flag the hoistable, spare the legitimate."""
 
-import ast
-
+from repro.analysis import AnalysisContext
 from repro.perflint import analyze_source
 from repro.perflint.perfpass import perf_pass
 
 
 def _rules(source: str) -> dict[str, list[int]]:
-    report = perf_pass(ast.parse(source), "lab.py")
+    report = perf_pass(AnalysisContext(source, "lab.py"))
     out: dict[str, list[int]] = {}
     for f in report.findings:
         out.setdefault(f.rule, []).append(f.line)

@@ -1,9 +1,8 @@
 """The abstract shape/dtype interpreter behind PERF-SHAPE / PERF-DTYPE."""
 
-import ast
-
 import pytest
 
+from repro.analysis import AnalysisContext
 from repro.perflint.shapes import (
     AbstractArray,
     broadcast_shapes,
@@ -13,7 +12,7 @@ from repro.perflint.shapes import (
 
 
 def _report(source: str, filename: str = "lab.py"):
-    return shape_pass(ast.parse(source), filename)
+    return shape_pass(AnalysisContext(source, filename))
 
 
 class TestShapeAlgebra:
