@@ -3,19 +3,20 @@
 Usage, from the repository root::
 
     python3 benchmarks/record_bench.py --parent ../parent-checkout \\
-        --change . --workload analysis-sweep --seed 301 --pairs 10 \\
-        --seconds 12 --out BENCH_analysis-sweep.json
+        --change . --workload analysis-sweep --seed 301 \\
+        --out BENCH_analysis-sweep.json
 
-Runs ``perfbench/run.py`` in each checkout as fresh processes,
-interleaved in pairs: pair *i* runs the parent first when *i* is even
-and the change first when it is odd, so a drift in host speed lands on
+Runs ``perfbench/run.py`` in each checkout as fresh processes of the
+length ``BENCHMARK.json`` fixes (``run_seconds``), interleaved in
+``PAIRS`` pairs: pair *i* runs the parent first when *i* is even and
+the change first when it is odd, so a drift in host speed lands on
 both sides.  Each side then gets one traced run (``--trace 1``) for its
 per-layer split.  The JSON written holds, per side, the commit and
 source digest, the environment fingerprint, every run's end-to-end
 metrics and per-repetition samples, the median, quartiles and IQR of
-each end-to-end metric over the runs, the findings digests and the
-traced per-layer block; and, per metric, the ratio of the medians and
-how many pairs the change won.
+each end-to-end metric ``BENCHMARK.json`` lists, the findings digests
+and the traced per-layer block; and, per metric, the ratio of the
+medians and how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: end-to-end metrics perfbench reports with ``--trace 0``, and which
-#: direction is better
-END_TO_END = {"setup_s": "lower", "peak_rss_mb": "lower",
-              "ops_per_s": "higher", "work_per_s": "higher"}
+#: interleaved parent/change pairs per recording
+PAIRS = 10
 
 SIDES = ("parent", "change")
 
@@ -67,11 +66,12 @@ def quartiles(values: list[float]) -> dict:
             "n": len(values)}
 
 
-def compare(parent: list[dict], change: list[dict]) -> dict:
+def compare(parent: list[dict], change: list[dict],
+            end_to_end: dict) -> dict:
     """Per metric: ratio of the medians, how many pairs the change won,
     and whether the medians differ by more than the parent's IQR."""
     out = {}
-    for metric, better in END_TO_END.items():
+    for metric, better in end_to_end.items():
         sign = 1 if better == "higher" else -1
         wins = sum(1 for p, c in zip(parent, change)
                    if sign * (c["metrics"][metric]
@@ -91,12 +91,14 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
-def record(parent: Path, change: Path, workload: str, seed: int,
-           pairs: int, seconds: float, trace_seconds: float) -> dict:
+def record(parent: Path, change: Path, workload: str, seed: int) -> dict:
+    bench = json.loads((change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
     checkouts = {"parent": parent, "change": change}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     order = []
-    for i in range(pairs):
+    for i in range(PAIRS):
         first = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in first:
             run = run_once(checkouts[side], workload, seed, seconds, 0)
@@ -107,7 +109,7 @@ def record(parent: Path, change: Path, workload: str, seed: int,
     sides = {}
     for side in SIDES:
         env = dict(runs[side][0]["env"])
-        traced = run_once(checkouts[side], workload, seed, trace_seconds, 1)
+        traced = run_once(checkouts[side], workload, seed, seconds, 1)
         sides[side] = {
             "commit": env.pop("git_commit"),
             "src_sha256": env.pop("src_sha256"),
@@ -117,7 +119,7 @@ def record(parent: Path, change: Path, workload: str, seed: int,
             "attempted": sum(r["attempted"] for r in runs[side]),
             "failed": sum(r["failed"] for r in runs[side]),
             "summary": {m: quartiles([r["metrics"][m] for r in runs[side]])
-                        for m in END_TO_END},
+                        for m in end_to_end},
             "runs": [{k: r[k] for k in ("metrics", "samples", "repetitions")}
                      for r in runs[side]],
             "per_layer": {k: traced[k] for k in ("metrics", "repetitions",
@@ -127,12 +129,12 @@ def record(parent: Path, change: Path, workload: str, seed: int,
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
-        "pairs": pairs,
+        "pairs": PAIRS,
         "order": order,
         "command": (f"python3 perfbench/run.py --workload {workload} "
                     f"--seed {seed} --seconds {seconds} --trace 0"),
         "sides": sides,
-        "comparison": compare(runs["parent"], runs["change"]),
+        "comparison": compare(runs["parent"], runs["change"], end_to_end),
     }
 
 
@@ -142,14 +144,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=12.0)
-    parser.add_argument("--trace-seconds", type=float, default=6.0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     report = record(args.parent.resolve(), args.change.resolve(),
-                    args.workload, args.seed, args.pairs, args.seconds,
-                    args.trace_seconds)
+                    args.workload, args.seed)
     out = args.out or Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     ops = report["comparison"]["ops_per_s"]

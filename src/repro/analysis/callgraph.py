@@ -30,7 +30,6 @@ fixpoint.
 from __future__ import annotations
 
 import ast
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -40,10 +39,8 @@ from repro.analysis.context import AnalysisContext
 MODULE_SCOPE = "<module>"
 
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-#: nodes the call scan does not descend into: scopes of their own, and
-#: leaves that hold no call
-_NO_CALL_SITES = (*_FUNC_TYPES, ast.ClassDef, ast.Lambda, ast.Name,
-                  ast.Constant)
+#: nodes the call scan does not descend into: scopes of their own
+_NO_CALL_SITES = (*_FUNC_TYPES, ast.ClassDef, ast.Lambda)
 
 
 def module_name_for(filename: str) -> str:
@@ -293,9 +290,6 @@ class _FileScanner:
         self.ctx = ctx
         self.graph = graph
         self.module = module_name_for(ctx.filename)
-        # a statement none of whose lines starts a call has no call
-        # site, so the scan skips it without walking it
-        self._call_lines = sorted({c.lineno for c in ctx.nodes_of(ast.Call)})
         from repro.sanitize.astlint import _is_kernel_def
         self._is_kernel_def = _is_kernel_def
         # pending call sites: (scope fid, call node, scope-local bindings,
@@ -411,11 +405,8 @@ class _FileScanner:
             in_loop = loop_depth + (1 if is_loop else 0)
             in_bound = self.ctx.loop_bound_names(stmt) if is_loop \
                 else loop_bound
-            lines = self._call_lines
-            i = bisect.bisect_left(lines, stmt.lineno)
-            if i < len(lines) and lines[i] <= stmt.end_lineno:
-                self._scan_calls(stmt, scope_fid, local, class_name,
-                                 loop_depth, loop_bound)
+            self._scan_calls(stmt, scope_fid, local, class_name,
+                             loop_depth, loop_bound)
             for body in self._stmt_bodies(stmt):
                 self._scan_scope(body, scope_fid, local, class_name,
                                  in_loop, loop_bound=in_bound)
@@ -445,16 +436,13 @@ class _FileScanner:
         for node in ast.iter_child_nodes(stmt):
             if not isinstance(node, ast.stmt):
                 work.append(node)
-        snapshot = None
         while work:
             node = work.pop()
             if isinstance(node, _NO_CALL_SITES):
                 continue
             if isinstance(node, ast.Call):
-                if snapshot is None:
-                    snapshot = dict(local)
                 self.pending.append((
-                    scope_fid, node, snapshot, class_name, loop_depth,
+                    scope_fid, node, dict(local), class_name, loop_depth,
                     loop_bound,
                     bound_to if node is top_value else None,
                     returned and node is top_value))
